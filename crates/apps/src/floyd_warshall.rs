@@ -8,11 +8,12 @@
 //! The distance-only spec is simply the generic algebraic closure
 //! [`SemiringSpec`] instantiated at the tropical algebra of the weight
 //! type ([`MinPlusI64`] / [`MinPlusF64`]); [`FwSpec`] survives as a type
-//! alias so call sites read as before. [`FwPathSpec`] additionally
-//! carries a successor matrix for path reconstruction (forward walk from
-//! the source); [`FwPredSpec`] carries a predecessor matrix (backward
-//! walk from the destination — the representation `gep-serve` caches,
-//! since a point query then touches a single row).
+//! alias so call sites read as before. Paths are not solved for: after a
+//! distance-only solve, [`tight_path`] rebuilds one shortest path by
+//! walking tight edges backward from the destination over the graph's
+//! [`InEdges`], reading a single row of the matrix. [`FwPredSpec`], which
+//! carries a predecessor beside each distance, remains as a benchmark
+//! reference.
 //!
 //! Historical note: `i64` weight addition used to be plain `+`, which
 //! both wrapped on large finite weights and let `INFINITY + negative`
@@ -65,68 +66,21 @@ impl Weight for f64 {
 /// weight type's tropical algebra.
 pub type FwSpec<W = i64> = SemiringSpec<<W as Weight>::Alg>;
 
-/// Distance + successor spec for path reconstruction.
-///
-/// Element `(d, s)`: `d` is the current shortest distance, `s` the
-/// *next hop* on the corresponding path (`u32::MAX` = none/self). When the
-/// relaxation through `k` strictly improves `d[i][j]`, the next hop of
-/// `(i, j)` becomes the next hop of `(i, k)`.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct FwPathSpec;
-
-/// Sentinel "no successor".
-pub const NO_NEXT: u32 = u32::MAX;
-
-/// Distance + *predecessor* spec for path reconstruction.
+/// Distance + *predecessor* spec: the pre-kernel representation of a
+/// path-carrying solve, kept because the `gepbench` serving workloads
+/// time it as the reference engine run beside the server's solve.
 ///
 /// Element `(d, p)`: `d` is the current shortest distance from `i` to
 /// `j`, `p` the vertex immediately *before* `j` on that path
-/// ([`NO_PRED`] = none/self). When the relaxation through `k` strictly
+/// (`u32::MAX` = none/self). When the relaxation through `k` strictly
 /// improves `d[i][j]`, the predecessor of `(i, j)` becomes the
 /// predecessor of `(k, j)` — the last hop of the `k → j` suffix.
 ///
-/// The dual of [`FwPathSpec`]: a successor matrix reconstructs paths
-/// walking forward from the source, a predecessor matrix walking
-/// backward from the destination. `gep-serve` caches this spec because a
-/// `path u v` query then touches only row `u`.
+/// Its `(i64, u32)` element has no specialized base-case kernel, so every
+/// leaf runs the generic path. Paths are better rebuilt from a
+/// distance-only [`FwSpec`] solve with [`tight_path`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FwPredSpec;
-
-/// Sentinel "no predecessor".
-pub const NO_PRED: u32 = u32::MAX;
-
-impl gep_core::GepSpec for FwPathSpec {
-    type Elem = (i64, u32);
-
-    #[inline(always)]
-    fn update(
-        &self,
-        _i: usize,
-        _j: usize,
-        _k: usize,
-        x: (i64, u32),
-        u: (i64, u32),
-        v: (i64, u32),
-        _w: (i64, u32),
-    ) -> (i64, u32) {
-        let cand = u.0.wadd(v.0);
-        if cand < x.0 {
-            (cand, u.1)
-        } else {
-            x
-        }
-    }
-
-    #[inline(always)]
-    fn in_sigma(&self, _i: usize, _j: usize, _k: usize) -> bool {
-        true
-    }
-
-    #[inline(always)]
-    fn tau(&self, n: usize, _i: usize, _j: usize, l: i64) -> Option<usize> {
-        (l >= 0 && n > 0).then(|| (l as usize).min(n - 1))
-    }
-}
 
 impl gep_core::GepSpec for FwPredSpec {
     type Elem = (i64, u32);
@@ -176,86 +130,96 @@ pub fn distance_matrix<W: Weight>(n: usize, edges: &[(usize, usize, W)]) -> Matr
     m
 }
 
-/// Builds the initial `(dist, next)` matrix for [`FwPathSpec`].
-pub fn path_matrix(n: usize, edges: &[(usize, usize, i64)]) -> Matrix<(i64, u32)> {
-    let mut m = Matrix::from_fn(n, n, |i, j| {
-        if i == j {
-            (0i64, NO_NEXT)
-        } else {
-            (<i64 as Weight>::INFINITY, NO_NEXT)
-        }
-    });
-    for &(a, b, w) in edges {
-        if w < m[(a, b)].0 {
-            m[(a, b)] = (w, b as u32);
-        }
-    }
-    m
+/// In-edge lists of a weighted digraph in CSR form: for every vertex
+/// `v`, the `(k, w)` pairs of its edges `k → v`. Self loops are left
+/// out; they never lie on a simple path.
+#[derive(Clone, Debug)]
+pub struct InEdges {
+    /// `edges[offsets[v]..offsets[v + 1]]` are the in-edges of `v`.
+    offsets: Vec<usize>,
+    edges: Vec<(u32, i64)>,
 }
 
-/// Builds the initial `(dist, pred)` matrix for [`FwPredSpec`].
-pub fn pred_matrix(n: usize, edges: &[(usize, usize, i64)]) -> Matrix<(i64, u32)> {
-    let mut m = Matrix::from_fn(n, n, |i, j| {
-        if i == j {
-            (0i64, NO_PRED)
-        } else {
-            (<i64 as Weight>::INFINITY, NO_PRED)
+impl InEdges {
+    /// The in-edges of a distance matrix: every finite off-diagonal
+    /// entry `w[(k, v)]` is one edge `k → v`.
+    pub fn from_matrix(w: &Matrix<i64>) -> InEdges {
+        let n = w.n();
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut edges = Vec::new();
+        offsets.push(0);
+        for v in 0..n {
+            for k in 0..n {
+                let wt = w[(k, v)];
+                if k != v && wt < TROPICAL_INF {
+                    edges.push((k as u32, wt));
+                }
+            }
+            offsets.push(edges.len());
         }
-    });
-    for &(a, b, w) in edges {
-        if a != b && w < m[(a, b)].0 {
-            m[(a, b)] = (w, a as u32);
-        }
+        InEdges { offsets, edges }
     }
-    m
+
+    /// Vertex count.
+    pub fn n(&self) -> usize {
+        self.offsets.len().saturating_sub(1)
+    }
+
+    /// The `(k, w)` in-edges of `v`.
+    pub fn of(&self, v: usize) -> &[(u32, i64)] {
+        &self.edges[self.offsets[v]..self.offsets[v + 1]]
+    }
 }
 
-/// Extracts the vertex sequence of a shortest `src → dst` path from a
-/// solved [`FwPredSpec`] matrix, or `None` if unreachable. Walks
-/// backward from `dst` along predecessors, touching only row `src`.
-pub fn extract_path_pred(
-    solved: &Matrix<(i64, u32)>,
-    src: usize,
-    dst: usize,
-) -> Option<Vec<usize>> {
+/// One shortest `src → dst` path (inclusive vertex sequence) rebuilt from
+/// a distance-only solve, or `None` if `dst` is unreachable.
+///
+/// `row` is row `src` of the solved distance matrix (it may be longer
+/// than the graph, as a padded solve's is); `in_edges` are the graph the
+/// solve was run on. The walk goes backward from `dst`: from `cur` it
+/// takes an in-edge `k → cur` that is *tight*, `row[k] ⊗ w == row[cur]`,
+/// and whose tail it has not visited yet, backtracking out of dead ends
+/// (a depth-first search, so each vertex is entered at most once).
+/// Telescoping the tight edges, the path weighs exactly `row[dst]`.
+///
+/// Weights must be non-negative (no negative cycles), so that
+/// `row[src] == 0` and the last edge of every shortest path is tight. A
+/// zero-weight cycle can hold tight edges that lead away from `src`; the
+/// visited set stops the walk from circling there, and backtracking
+/// finds the way out.
+pub fn tight_path(row: &[i64], in_edges: &InEdges, src: usize, dst: usize) -> Option<Vec<usize>> {
     if src == dst {
         return Some(vec![src]);
     }
-    if solved[(src, dst)].0 >= <i64 as Weight>::INFINITY {
+    if row[dst] >= TROPICAL_INF {
         return None;
     }
-    let mut path = vec![dst];
-    let mut cur = dst;
-    while cur != src {
-        let pred = solved[(src, cur)].1;
-        debug_assert_ne!(pred, NO_PRED, "finite distance but missing predecessor");
-        cur = pred as usize;
-        path.push(cur);
-        assert!(path.len() <= solved.n(), "cycle in predecessor matrix");
+    let mut seen = vec![false; in_edges.n()];
+    seen[dst] = true;
+    // The walk so far, each vertex with the index of its next in-edge
+    // to try.
+    let mut walk = vec![(dst, 0usize)];
+    while let Some(&(cur, from)) = walk.last() {
+        let edges = &in_edges.of(cur)[from..];
+        let next = edges
+            .iter()
+            .position(|&(k, w)| !seen[k as usize] && row[k as usize].wadd(w) == row[cur]);
+        let Some(at) = next else {
+            walk.pop();
+            continue;
+        };
+        walk.last_mut().expect("walk is non-empty").1 = from + at + 1;
+        let k = edges[at].0 as usize;
+        if k == src {
+            let mut path: Vec<usize> = walk.iter().map(|&(v, _)| v).collect();
+            path.push(src);
+            path.reverse();
+            return Some(path);
+        }
+        seen[k] = true;
+        walk.push((k, 0));
     }
-    path.reverse();
-    Some(path)
-}
-
-/// Extracts the vertex sequence of a shortest `src → dst` path from a
-/// solved [`FwPathSpec`] matrix, or `None` if unreachable.
-pub fn extract_path(solved: &Matrix<(i64, u32)>, src: usize, dst: usize) -> Option<Vec<usize>> {
-    if src == dst {
-        return Some(vec![src]);
-    }
-    if solved[(src, dst)].0 >= <i64 as Weight>::INFINITY {
-        return None;
-    }
-    let mut path = vec![src];
-    let mut cur = src;
-    while cur != dst {
-        let next = solved[(cur, dst)].1;
-        debug_assert_ne!(next, NO_NEXT, "finite distance but missing next hop");
-        cur = next as usize;
-        path.push(cur);
-        assert!(path.len() <= solved.n(), "cycle in successor matrix");
-    }
-    Some(path)
+    None
 }
 
 /// Convenience: solve APSP with the optimised sequential I-GEP engine.
@@ -400,6 +364,32 @@ mod tests {
         assert!(a.approx_eq(&b, 1e-9));
     }
 
+    /// Solves `d` distance-only and returns it with the graph's in-edges.
+    fn solve_with_in_edges(d: &Matrix<i64>, base: usize) -> (Matrix<i64>, InEdges) {
+        let mut solved = d.clone();
+        apsp(&mut solved, base);
+        (solved, InEdges::from_matrix(d))
+    }
+
+    /// Checks that `path` runs `src → dst` over real edges of `graph` and
+    /// weighs `want`; returns its hop count.
+    fn check_walk(graph: &Matrix<i64>, path: &[usize], src: usize, dst: usize, want: i64) -> usize {
+        assert_eq!((path[0], *path.last().unwrap()), (src, dst));
+        let mut total = 0i64;
+        for hop in path.windows(2) {
+            let w = graph[(hop[0], hop[1])];
+            assert!(
+                hop[0] != hop[1] && w < <i64 as Weight>::INFINITY,
+                "path {path:?} uses a missing edge {}->{}",
+                hop[0],
+                hop[1]
+            );
+            total += w;
+        }
+        assert_eq!(total, want, "path {path:?} weight {src}->{dst}");
+        path.len() - 1
+    }
+
     #[test]
     fn paths_are_valid_and_optimal() {
         let edges = vec![
@@ -410,52 +400,32 @@ mod tests {
             (2, 3, 8),
             (3, 0, 4),
         ];
-        let mut m = path_matrix(4, &edges);
-        gep_core::igep_opt(&FwPathSpec, &mut m, 1);
+        let (m, inn) = solve_with_in_edges(&distance_matrix(4, &edges), 1);
         // 0 -> 1 via 2: cost 5.
-        assert_eq!(m[(0, 1)].0, 5);
-        assert_eq!(extract_path(&m, 0, 1), Some(vec![0, 2, 1]));
+        assert_eq!(m[(0, 1)], 5);
+        assert_eq!(tight_path(m.row(0), &inn, 0, 1), Some(vec![0, 2, 1]));
         // 0 -> 3 via 2,1: 2 + 3 + 1 = 6.
-        assert_eq!(m[(0, 3)].0, 6);
-        assert_eq!(extract_path(&m, 0, 3), Some(vec![0, 2, 1, 3]));
+        assert_eq!(m[(0, 3)], 6);
+        assert_eq!(tight_path(m.row(0), &inn, 0, 3), Some(vec![0, 2, 1, 3]));
         // Self path.
-        assert_eq!(extract_path(&m, 2, 2), Some(vec![2]));
+        assert_eq!(tight_path(m.row(2), &inn, 2, 2), Some(vec![2]));
     }
 
+    /// The predecessor-carrying spec computes the same distances as the
+    /// distance-only spec, and every tight-edge path rebuilt from those
+    /// distances walks real edges with total weight equal to the distance.
     #[test]
     fn path_spec_distances_match_distance_spec() {
         let n = 16;
         let init_d = random_graph(n, 99);
-        let init_p = Matrix::from_fn(n, n, |i, j| {
-            let d = init_d[(i, j)];
-            (
-                d,
-                if i != j && d < <i64 as Weight>::INFINITY {
-                    j as u32
-                } else {
-                    NO_NEXT
-                },
-            )
-        });
-        let mut d = init_d.clone();
-        let mut p = init_p.clone();
-        apsp(&mut d, 4);
-        igep_opt(&FwPathSpec, &mut p, 4);
+        let mut p = pred_init(&init_d);
+        igep_opt(&FwPredSpec, &mut p, 4);
+        let (d, inn) = solve_with_in_edges(&init_d, 4);
         for i in 0..n {
             for j in 0..n {
                 assert_eq!(p[(i, j)].0, d[(i, j)], "({i},{j})");
-            }
-        }
-        // Every finite path must walk to its destination with total weight
-        // equal to the distance.
-        for i in 0..n {
-            for j in 0..n {
-                if let Some(path) = extract_path(&p, i, j) {
-                    let mut total = 0i64;
-                    for win in path.windows(2) {
-                        total += init_d[(win[0], win[1])];
-                    }
-                    assert_eq!(total, p[(i, j)].0, "path {i}->{j}");
+                if let Some(path) = tight_path(d.row(i), &inn, i, j) {
+                    check_walk(&init_d, &path, i, j, d[(i, j)]);
                 }
             }
         }
@@ -464,9 +434,24 @@ mod tests {
     #[test]
     fn unreachable_is_none() {
         // Two isolated vertices.
-        let mut m = path_matrix(2, &[]);
-        gep_core::igep_opt(&FwPathSpec, &mut m, 1);
-        assert_eq!(extract_path(&m, 0, 1), None);
+        let (m, inn) = solve_with_in_edges(&distance_matrix(2, &[]), 1);
+        assert_eq!(tight_path(m.row(0), &inn, 0, 1), None);
+    }
+
+    /// A zero-weight cycle next to the real predecessor: from 3 the walk
+    /// first tries the tight edge 1 → 3, whose only tight in-edge comes
+    /// back from 3. A walk without a visited set circles 3 → 1 → 3
+    /// forever, and one without backtracking stops at 1; this one backs
+    /// out and finds 0 → 2 → 3.
+    #[test]
+    fn tight_path_backtracks_out_of_zero_weight_cycle_dead_end() {
+        let edges = vec![(0usize, 2, 1i64), (2, 3, 0), (3, 1, 0), (1, 3, 0)];
+        let (m, inn) = solve_with_in_edges(&distance_matrix(4, &edges), 1);
+        assert_eq!(m.row(0), &[0, 1, 1, 1]);
+        assert_eq!(tight_path(m.row(0), &inn, 0, 3), Some(vec![0, 2, 3]));
+        assert_eq!(tight_path(m.row(0), &inn, 0, 1), Some(vec![0, 2, 3, 1]));
+        assert_eq!(tight_path(m.row(1), &inn, 1, 3), Some(vec![1, 3]));
+        assert_eq!(tight_path(m.row(1), &inn, 1, 2), None);
     }
 
     /// Converts a distance matrix into the [`FwPredSpec`] initial state.
@@ -477,42 +462,32 @@ mod tests {
             if i != j && w < <i64 as Weight>::INFINITY {
                 (w, i as u32)
             } else if i == j {
-                (0, NO_PRED)
+                (0, u32::MAX)
             } else {
-                (w, NO_PRED)
+                (w, u32::MAX)
             }
         })
     }
 
-    /// Differential: pred-spec distances match the independent Dijkstra
-    /// oracle from every source, and every reconstructed path walks real
-    /// edges of the input with total weight equal to that distance.
+    /// Differential: pred-spec and distance-only distances match the
+    /// independent Dijkstra oracle from every source, and every tight-edge
+    /// path walks real edges of the input with total weight equal to that
+    /// distance.
     #[test]
     fn pred_spec_differential_vs_dijkstra_oracle() {
         for (n, seed) in [(4usize, 0xBEEFu64), (8, 0xB0A7), (16, 0x1CEB), (32, 0x5EED)] {
             let init_d = random_graph(n, seed);
             let mut p = pred_init(&init_d);
             igep_opt(&FwPredSpec, &mut p, 4);
+            let (d, inn) = solve_with_in_edges(&init_d, 4);
             for src in 0..n {
                 let oracle = crate::reference::dijkstra_reference(&init_d, src);
                 for dst in 0..n {
                     assert_eq!(p[(src, dst)].0, oracle[dst], "n={n} {src}->{dst}");
-                    match extract_path_pred(&p, src, dst) {
+                    assert_eq!(d[(src, dst)], oracle[dst], "n={n} {src}->{dst}");
+                    match tight_path(d.row(src), &inn, src, dst) {
                         Some(path) => {
-                            assert_eq!(path[0], src);
-                            assert_eq!(*path.last().unwrap(), dst);
-                            let mut total = 0i64;
-                            for win in path.windows(2) {
-                                let w = init_d[(win[0], win[1])];
-                                assert!(
-                                    w < <i64 as Weight>::INFINITY,
-                                    "path uses a missing edge {}->{}",
-                                    win[0],
-                                    win[1]
-                                );
-                                total += w;
-                            }
-                            assert_eq!(total, oracle[dst], "path weight {src}->{dst}");
+                            check_walk(&init_d, &path, src, dst, oracle[dst]);
                         }
                         None => assert_eq!(
                             oracle[dst],
@@ -525,9 +500,9 @@ mod tests {
         }
     }
 
-    /// Differential on unit-weight graphs: pred-spec distances equal BFS
-    /// hop counts, and every reconstructed path has exactly that many
-    /// hops (shortest unweighted paths).
+    /// Differential on unit-weight graphs: distances equal BFS hop counts,
+    /// and every tight-edge path has exactly that many hops (shortest
+    /// unweighted paths).
     #[test]
     fn pred_spec_differential_vs_bfs_oracle_on_unit_graphs() {
         fn bfs_hops(adj: &Matrix<i64>, src: usize) -> Vec<i64> {
@@ -566,73 +541,44 @@ mod tests {
             });
             let mut p = pred_init(&init_d);
             igep_opt(&FwPredSpec, &mut p, 4);
+            let (d, inn) = solve_with_in_edges(&init_d, 4);
             for src in 0..n {
                 let hops = bfs_hops(&init_d, src);
                 for dst in 0..n {
                     assert_eq!(p[(src, dst)].0, hops[dst], "n={n} {src}->{dst}");
-                    if let Some(path) = extract_path_pred(&p, src, dst) {
-                        assert_eq!(path.len() as i64 - 1, hops[dst], "hops {src}->{dst}");
+                    if let Some(path) = tight_path(d.row(src), &inn, src, dst) {
+                        let len = check_walk(&init_d, &path, src, dst, hops[dst]);
+                        assert_eq!(len as i64, hops[dst], "hops {src}->{dst}");
                     }
                 }
             }
         }
     }
 
-    /// No-path and self-loop edge cases: isolated vertices reconstruct to
+    /// No-path and self-loop edge cases: isolated vertices rebuild to
     /// `None`, self paths are the single vertex, and explicit self-loop
-    /// edges are ignored by the builder (a self loop never shortens a
-    /// shortest path under nonnegative weights).
+    /// edges stay out of both the distance matrix and the in-edges (a
+    /// self loop never shortens a shortest path under nonnegative
+    /// weights).
     #[test]
     fn pred_spec_no_path_and_self_loop_edge_cases() {
         // Vertex 3 is isolated; vertex 1 carries a self loop.
         let edges = vec![(0usize, 1, 2i64), (1, 1, 5), (1, 2, 3), (2, 0, 7)];
-        let mut m = pred_matrix(4, &edges);
-        assert_eq!(
-            m[(1, 1)],
-            (0, NO_PRED),
-            "self loop must not enter the matrix"
+        let init = distance_matrix(4, &edges);
+        assert_eq!(init[(1, 1)], 0, "self loop must not enter the matrix");
+        let (m, inn) = solve_with_in_edges(&init, 1);
+        assert!(
+            inn.of(1).iter().all(|&(k, _)| k != 1),
+            "no self-loop in-edge"
         );
-        igep_opt(&FwPredSpec, &mut m, 1);
-        assert_eq!(extract_path_pred(&m, 0, 2), Some(vec![0, 1, 2]));
-        assert_eq!(m[(0, 2)].0, 5);
-        assert_eq!(extract_path_pred(&m, 1, 1), Some(vec![1]), "self path");
+        assert_eq!(tight_path(m.row(0), &inn, 0, 2), Some(vec![0, 1, 2]));
+        assert_eq!(m[(0, 2)], 5);
+        assert_eq!(tight_path(m.row(1), &inn, 1, 1), Some(vec![1]), "self path");
         for v in 0..3 {
-            assert_eq!(extract_path_pred(&m, v, 3), None, "{v}->3 unreachable");
-            assert_eq!(extract_path_pred(&m, 3, v), None, "3->{v} unreachable");
+            assert_eq!(tight_path(m.row(v), &inn, v, 3), None, "{v}->3 unreachable");
+            assert_eq!(tight_path(m.row(3), &inn, 3, v), None, "3->{v} unreachable");
         }
-        assert_eq!(extract_path_pred(&m, 3, 3), Some(vec![3]));
-    }
-
-    /// The successor and predecessor specs are duals: identical distances
-    /// and identical reconstructed path *weights* on the same input.
-    #[test]
-    fn pred_and_successor_specs_agree() {
-        let n = 16;
-        let init_d = random_graph(n, 0xD0A1);
-        let mut nxt = Matrix::from_fn(n, n, |i, j| {
-            let d = init_d[(i, j)];
-            if i != j && d < <i64 as Weight>::INFINITY {
-                (d, j as u32)
-            } else {
-                (d, NO_NEXT)
-            }
-        });
-        let mut prd = pred_init(&init_d);
-        igep_opt(&FwPathSpec, &mut nxt, 4);
-        igep_opt(&FwPredSpec, &mut prd, 4);
-        for i in 0..n {
-            for j in 0..n {
-                assert_eq!(prd[(i, j)].0, nxt[(i, j)].0, "({i},{j})");
-                let weigh = |path: Option<Vec<usize>>| {
-                    path.map(|p| p.windows(2).map(|w| init_d[(w[0], w[1])]).sum::<i64>())
-                };
-                assert_eq!(
-                    weigh(extract_path_pred(&prd, i, j)),
-                    weigh(extract_path(&nxt, i, j)),
-                    "path weight ({i},{j})"
-                );
-            }
-        }
+        assert_eq!(tight_path(m.row(3), &inn, 3, 3), Some(vec![3]));
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //!   [`EliminationAlgebra`](gep_core::algebra::EliminationAlgebra):
 //!   bitsliced GF(2) block elimination, prime fields GF(p), the reals;
 //! * [`floyd_warshall`] — all-pairs shortest paths (min-plus, full `Σ`),
-//!   with optional successor or predecessor tracking for path
-//!   reconstruction;
+//!   with shortest paths rebuilt from the solved distances by walking
+//!   tight edges;
 //! * [`gaussian`] — Gaussian elimination without pivoting
 //!   (`Σ = {i > k ∧ j > k}`, `f = x − u·v/w`), plus triangular solves and
 //!   an end-to-end linear solver;
@@ -45,7 +45,7 @@ pub mod transitive_closure;
 
 pub use closure::SemiringSpec;
 pub use elimination::ElimSpec;
-pub use floyd_warshall::{FwPathSpec, FwPredSpec, FwSpec, Weight};
+pub use floyd_warshall::{tight_path, FwPredSpec, FwSpec, InEdges, Weight};
 pub use gaussian::GaussianSpec;
 pub use lu::LuSpec;
 pub use matmul::MatMulEmbedSpec;

@@ -40,6 +40,13 @@ fn inum(v: u64) -> Json {
     Json::Int(v as i64)
 }
 
+/// The serving rows' `kernel_fallbacks` field: base cases of the served
+/// solves that found no specialized kernel (an exact gate at 0). Absent
+/// when no recorder ran, as without `--json`.
+fn kernel_fallbacks(rec: Option<&gep_obs::Recorder>) -> Option<(&'static str, Json)> {
+    rec.map(|r| ("kernel_fallbacks", inum(r.counter("kernels.fallback"))))
+}
+
 /// Appends one snapshot of `bench_dir` to the repo-root trajectory file.
 /// Best-effort: a missing or metric-less bench dir is reported, not fatal.
 fn append_trajectory(bench_dir: &std::path::Path, source: &str, quick: bool) {
@@ -1027,7 +1034,8 @@ fn main() {
         // Every row field is a pure function of (n, seed, workers) —
         // latency goes only to the histograms object, which `repro
         // compare` never gates on.
-        d.row(vec![
+        let rec = gep_obs::take();
+        let mut row = vec![
             ("n", inum(outcome.n as u64)),
             ("threads", inum(outcome.workers as u64)),
             ("requests", inum(outcome.requests)),
@@ -1038,7 +1046,9 @@ fn main() {
             ("mutations", inum(outcome.mutations)),
             ("epoch_regressions", inum(outcome.epoch_regressions)),
             ("oracle_match", Json::Bool(outcome.oracle_match)),
-        ]);
+        ];
+        row.extend(kernel_fallbacks(rec.as_ref()));
+        d.row(row);
         for (op, count) in &outcome.op_counts {
             d.counter(&format!("serve.loadgen.{op}.requests"), *count);
         }
@@ -1047,7 +1057,7 @@ fn main() {
         }
         d.gauge("serve.solve_s", outcome.solve_s);
         d.gauge("serve.read_qps", outcome.read_qps);
-        if let Some(rec) = gep_obs::take() {
+        if let Some(rec) = rec {
             for (k, v) in &rec.counters {
                 d.counter(k, *v);
             }
@@ -1076,7 +1086,8 @@ fn main() {
         // Counts, epochs and boolean verdicts are pure functions of
         // (n, seed, workers, rounds) — gated exactly. The `_ns`
         // magnitudes are wall-clock and ride along informationally.
-        d.row(vec![
+        let rec = gep_obs::take();
+        let mut row = vec![
             ("n", inum(outcome.n as u64)),
             ("threads", inum(outcome.workers as u64)),
             ("requests", inum(outcome.requests)),
@@ -1098,7 +1109,9 @@ fn main() {
             ("staleness_p50_ns", inum(outcome.staleness_p50_ns)),
             ("queue_wait_max_ns", inum(outcome.queue_wait_max_ns)),
             ("batch_drain_max_ns", inum(outcome.batch_drain_max_ns)),
-        ]);
+        ];
+        row.extend(kernel_fallbacks(rec.as_ref()));
+        d.row(row);
         for (op, count) in &outcome.op_counts {
             d.counter(&format!("serve.loadgen.{op}.requests"), *count);
         }
@@ -1108,7 +1121,7 @@ fn main() {
         for (name, hist) in &outcome.server_hists {
             d.histogram(name, hist);
         }
-        if let Some(rec) = gep_obs::take() {
+        if let Some(rec) = rec {
             for (k, v) in &rec.counters {
                 d.counter(k, *v);
             }

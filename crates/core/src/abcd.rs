@@ -549,14 +549,15 @@ mod tests {
     }
 
     /// Every base case lands one sample in `kernel.leaf_ns` and exactly
-    /// one of the per-shape histograms. (The only gep-core test touching
-    /// the process-global recorder, so it cannot race a sibling.)
+    /// one of the per-shape histograms. The recorder is scoped to this
+    /// solve, so sibling tests running engines at the same time cannot
+    /// add to its counts.
     #[test]
     fn leaf_latency_histograms_cover_every_base_case() {
-        gep_obs::install(gep_obs::Recorder::counters_only());
         let mut c = random_dist(16, 3);
-        igep_opt(&MinPlus, &mut c, 2);
-        let rec = gep_obs::take().expect("recorder installed above");
+        let ((), rec) = gep_obs::record(gep_obs::Recorder::counters_only(), || {
+            igep_opt(&MinPlus, &mut c, 2)
+        });
         let base_cases = rec.counter("abcd.base_cases");
         assert_eq!(base_cases, 512); // 8^3 leaves for n=16, base=2
         let h = rec.hist("kernel.leaf_ns").expect("leaf histogram present");

@@ -9,6 +9,11 @@
 //! divide-and-conquer algorithms over `join`.
 
 /// Executes two (or four) independent tasks, possibly in parallel.
+///
+/// An implementation that runs a task on another thread must wrap it in
+/// [`gep_obs::inherit`], so the engines' instrumentation keeps recording
+/// into the forking thread's [`gep_obs::record`] scope. [`Serial`] runs
+/// everything on the calling thread and inherits trivially.
 pub trait Joiner: Sync {
     /// Runs `a` and `b`, returning both results.
     fn join<RA, RB, A, B>(&self, a: A, b: B) -> (RA, RB)

@@ -300,18 +300,14 @@ pub(crate) mod tests {
 
     #[test]
     fn drop_flushes_dirty_pages_deterministically() {
-        // The global recorder observes the drop-path flush even though the
-        // arena (and its disk) die with it.
-        let _g = obs_test_lock();
-        let _ = gep_obs::take();
-        gep_obs::install(gep_obs::Recorder::counters_only());
-        {
+        // The scoped recorder observes the drop-path flush even though
+        // the arena (and its disk) die with it.
+        let ((), rec) = gep_obs::record(gep_obs::Recorder::counters_only(), || {
             let mut a = arena(4);
             a.write(0, 1);
             a.write(8, 2);
             a.write(9, 3); // same page as 8
-        } // drop → flush
-        let rec = gep_obs::take().expect("recorder installed above");
+        }); // drop → flush
         assert_eq!(rec.counter("extmem.flush.pages"), 2);
         assert_eq!(
             rec.counter("io.unlabelled.block_writes"),
@@ -322,30 +318,20 @@ pub(crate) mod tests {
 
     #[test]
     fn drop_during_panic_skips_flush() {
-        let _g = obs_test_lock();
-        let _ = gep_obs::take();
         crate::fault::silence_injected_crash_reports();
-        gep_obs::install(gep_obs::Recorder::counters_only());
-        let result = crate::fault::run_to_crash(|| {
-            let mut a = arena(4);
-            a.write(0, 1);
-            crate::fault::crash(1, false);
+        let (result, rec) = gep_obs::record(gep_obs::Recorder::counters_only(), || {
+            crate::fault::run_to_crash(|| {
+                let mut a = arena(4);
+                a.write(0, 1);
+                crate::fault::crash(1, false);
+            })
         });
         assert!(result.is_err());
-        let rec = gep_obs::take().expect("recorder installed above");
         assert_eq!(
             rec.counter("extmem.flush.pages"),
             0,
             "unwinding must not write back volatile state"
         );
-    }
-
-    /// Serializes tests in this binary that touch the process-global
-    /// `gep_obs` recorder.
-    pub(crate) fn obs_test_lock() -> std::sync::MutexGuard<'static, ()> {
-        use std::sync::{Mutex, PoisonError};
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     #[test]

@@ -759,15 +759,12 @@ mod tests {
     /// and every durability / paging event left a latency sample.
     #[test]
     fn run_publishes_progress_gauges_and_latency_histograms() {
-        let _g = crate::arena::tests::obs_test_lock();
-        let _ = gep_obs::take();
-        gep_obs::install(gep_obs::Recorder::counters_only());
         let n = 16;
         let input = fw_input(n, 23);
         let mut store = MemStore::new(None);
-        let (_, stats) =
-            run_checkpointed(&FwSpec::<i64>::new(), &input, &cfg(10), &mut store, None);
-        let rec = gep_obs::take().expect("recorder installed above");
+        let ((_, stats), rec) = gep_obs::record(gep_obs::Recorder::counters_only(), || {
+            run_checkpointed(&FwSpec::<i64>::new(), &input, &cfg(10), &mut store, None)
+        });
         assert_eq!(rec.gauge("progress.cursor"), Some(stats.total_steps as f64));
         assert_eq!(rec.gauge("progress.pct"), Some(100.0));
         assert_eq!(rec.gauge("progress.ckpt_lag_steps"), Some(0.0));

@@ -5,12 +5,14 @@
 //! on *observed* quantities — cache misses, I/O wait, recursion structure —
 //! and this crate is how the engines report them:
 //!
-//! * [`recorder`] — a process-global [`Recorder`] of **counters** (monotonic
-//!   `u64` sums), **gauges** (last-write-wins `f64` values), **histograms**
+//! * [`recorder`] — a [`Recorder`] of **counters** (monotonic `u64`
+//!   sums), **gauges** (last-write-wins `f64` values), **histograms**
 //!   (log-bucketed sample distributions, [`hist`]) and hierarchical
-//!   **spans** (timed intervals forming the A/B/C/D call tree). When no
-//!   recorder is installed every hook is a single relaxed atomic load, so
-//!   the hot recursive engines pay nothing in the default configuration.
+//!   **spans** (timed intervals forming the A/B/C/D call tree), installed
+//!   process-wide ([`install`]) or scoped to one closure and the forks it
+//!   makes ([`record`], [`inherit`]). When nothing records every hook is a
+//!   single relaxed atomic load, so the hot recursive engines pay nothing
+//!   in the default configuration.
 //! * [`hist`] — the mergeable power-of-two-bucketed [`Histogram`] behind
 //!   the p50/p90/p99/max latency metrics (kernel leaves, extmem I/O).
 //! * [`sampler`] — the flight recorder: a background [`Sampler`] that
@@ -42,6 +44,14 @@
 //! let rec = gep_obs::take().unwrap();
 //! assert_eq!(rec.counter("igep.calls"), 1);
 //! assert_eq!(rec.spans.len(), 1);
+//!
+//! // Scoped to one piece of work: concurrent work elsewhere in the
+//! // process cannot add to these counts.
+//! let (sum, rec) = gep_obs::record(gep_obs::Recorder::counters_only(), || {
+//!     gep_obs::counter_add("igep.calls", 2);
+//!     40 + 2
+//! });
+//! assert_eq!((sum, rec.counter("igep.calls")), (42, 2));
 //! ```
 //!
 //! See `docs/OBSERVABILITY.md` for the full tour.
@@ -61,8 +71,8 @@ pub use expose::{exposition, exposition_hist_stat, validate_exposition};
 pub use hist::Histogram;
 pub use json::Json;
 pub use recorder::{
-    counter_add, enabled, gauge_set, hist_record, install, metrics_snapshot, span, spans_enabled,
-    take, MetricsSnapshot, Recorder, SpanGuard, SpanRecord,
+    counter_add, enabled, gauge_set, hist_record, inherit, install, metrics_snapshot, record, span,
+    spans_enabled, take, MetricsSnapshot, Recorder, SpanGuard, SpanRecord,
 };
 pub use sampler::{flight_event, read_flight_file, FlightLog, Sample, Sampler, SamplerConfig};
 pub use summary::summary;

@@ -1,4 +1,5 @@
-//! The process-global recorder: counters, gauges and hierarchical spans.
+//! The recorder: counters, gauges and hierarchical spans, recorded either
+//! process-wide or scoped to one piece of work.
 //!
 //! Design constraints, in order:
 //!
@@ -10,17 +11,24 @@
 //!    threads at once; the sink is a mutex-guarded accumulator and spans
 //!    carry a per-thread id so traces stay well-nested per thread (rayon's
 //!    work-stealing during `join` is strictly LIFO per OS thread).
-//! 3. **No dependencies.** Everything here is `std`.
+//! 3. **Isolation on request.** [`install`] sets the process-global
+//!    recorder, which every thread without a scope records into — the
+//!    mode of binaries and of whole-process captures. [`record`] instead
+//!    runs one closure with its own recorder bound to the calling thread;
+//!    the engines' forks carry that binding onto the threads they run on
+//!    ([`inherit`]), so two concurrent scoped solves count exactly their
+//!    own work and neither leaks into the global recorder.
+//! 4. **No dependencies.** Everything here is `std`.
 //!
 //! Deep recursions can produce millions of spans (I-GEP at base size 1 emits
 //! one span per recursive call), so span recording can be switched off
 //! independently of counters via [`Recorder::counters_only`].
 
 use crate::hist::Histogram;
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 /// One completed span: a timed interval on one thread, with integer
@@ -105,71 +113,186 @@ impl Default for Recorder {
     }
 }
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static SPANS_ENABLED: AtomicBool = AtomicBool::new(false);
+/// Recording targets alive in the process: the global recorder (0 or 1)
+/// plus every running [`record`] scope. Zero is the disabled fast path.
+static LIVE: AtomicUsize = AtomicUsize::new(0);
+/// Whether a global recorder is installed, and whether it records spans.
+static GLOBAL: AtomicBool = AtomicBool::new(false);
+static GLOBAL_SPANS: AtomicBool = AtomicBool::new(false);
 static SINK: Mutex<Option<Recorder>> = Mutex::new(None);
 static NEXT_TID: AtomicU64 = AtomicU64::new(0);
+
+/// The recorder of one [`record`] call, shared by the threads its work
+/// forks onto.
+#[derive(Debug)]
+struct Scoped {
+    record_spans: bool,
+    rec: Mutex<Recorder>,
+}
+
+impl Scoped {
+    fn lock(&self) -> MutexGuard<'_, Recorder> {
+        self.rec.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
 
 thread_local! {
     static TID: u64 = NEXT_TID.fetch_add(1, Ordering::Relaxed);
     static DEPTH: Cell<usize> = const { Cell::new(0) };
+    /// The scope this thread records into; `None` means the global sink.
+    static SCOPE: RefCell<Option<Arc<Scoped>>> = const { RefCell::new(None) };
 }
 
-fn sink() -> std::sync::MutexGuard<'static, Option<Recorder>> {
+fn sink() -> MutexGuard<'static, Option<Recorder>> {
     SINK.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// True iff a recorder is installed. Instrumented code may use this to
-/// gate work that is expensive even without recording (e.g. counting
-/// Σ-triples in a base-case box).
-#[inline]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+/// The calling thread's scope, if it has one.
+fn thread_scope() -> Option<Arc<Scoped>> {
+    SCOPE.try_with(|s| s.borrow().clone()).ok().flatten()
 }
 
-/// True iff the installed recorder also records spans.
+/// Whether the calling thread's scope records spans; `None` without a
+/// scope. Reads the binding without touching its reference count.
+fn scope_spans() -> Option<bool> {
+    SCOPE
+        .try_with(|s| s.borrow().as_ref().map(|scope| scope.record_spans))
+        .ok()
+        .flatten()
+}
+
+/// Runs `f` on the calling thread's recording target — its scope, or
+/// else the global recorder if one is installed.
+#[inline]
+fn with_target(f: impl FnOnce(&mut Recorder)) {
+    if LIVE.load(Ordering::Relaxed) == 0 {
+        return;
+    }
+    match thread_scope() {
+        Some(scope) => f(&mut scope.lock()),
+        None => {
+            if let Some(r) = sink().as_mut() {
+                f(r)
+            }
+        }
+    }
+}
+
+/// True iff the calling thread records somewhere: it runs inside a
+/// [`record`] scope, or a global recorder is installed. Instrumented code
+/// may use this to gate work that is expensive even without recording
+/// (e.g. counting Σ-triples in a base-case box).
+#[inline]
+pub fn enabled() -> bool {
+    LIVE.load(Ordering::Relaxed) != 0 && (scope_spans().is_some() || GLOBAL.load(Ordering::Relaxed))
+}
+
+/// True iff the calling thread's recorder also records spans.
 #[inline]
 pub fn spans_enabled() -> bool {
-    SPANS_ENABLED.load(Ordering::Relaxed)
+    LIVE.load(Ordering::Relaxed) != 0
+        && scope_spans().unwrap_or_else(|| GLOBAL_SPANS.load(Ordering::Relaxed))
 }
 
 /// Installs `r` as the process-global recorder, replacing (and dropping)
-/// any previous one. Concurrent engines immediately start recording into
-/// it.
+/// any previous one. Concurrent engines on threads without a [`record`]
+/// scope immediately start recording into it.
 pub fn install(r: Recorder) {
-    let record_spans = r.record_spans;
-    *sink() = Some(r);
-    SPANS_ENABLED.store(record_spans, Ordering::SeqCst);
-    ENABLED.store(true, Ordering::SeqCst);
+    let mut global = sink();
+    if global.is_none() {
+        LIVE.fetch_add(1, Ordering::SeqCst);
+    }
+    GLOBAL_SPANS.store(r.record_spans, Ordering::SeqCst);
+    GLOBAL.store(true, Ordering::SeqCst);
+    *global = Some(r);
 }
 
-/// Stops recording and returns the recorder, if one was installed.
-/// Spans still open on other threads are discarded when they close.
+/// Stops global recording and returns the global recorder, if one was
+/// installed. Spans still open on other threads are discarded when they
+/// close. Scoped recorders are unaffected.
 pub fn take() -> Option<Recorder> {
-    ENABLED.store(false, Ordering::SeqCst);
-    SPANS_ENABLED.store(false, Ordering::SeqCst);
-    sink().take()
+    let mut global = sink();
+    let r = global.take();
+    if r.is_some() {
+        LIVE.fetch_sub(1, Ordering::SeqCst);
+    }
+    GLOBAL.store(false, Ordering::SeqCst);
+    GLOBAL_SPANS.store(false, Ordering::SeqCst);
+    r
+}
+
+/// Runs `f` with `rec` as the calling thread's recorder and returns `f`'s
+/// result together with the recording.
+///
+/// Everything `f` records — on this thread, and on every thread its forks
+/// run on via [`inherit`] — lands in `rec` and nowhere else: not in the
+/// global recorder, and not in another scope running at the same time.
+/// Nested calls shadow the outer scope until they return.
+pub fn record<R>(rec: Recorder, f: impl FnOnce() -> R) -> (R, Recorder) {
+    let scope = Arc::new(Scoped {
+        record_spans: rec.record_spans,
+        rec: Mutex::new(rec),
+    });
+    struct Live;
+    impl Drop for Live {
+        fn drop(&mut self) {
+            LIVE.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+    LIVE.fetch_add(1, Ordering::SeqCst);
+    let live = Live;
+    let out = run_in(Some(Arc::clone(&scope)), f);
+    drop(live);
+    // A straggling clone (a span guard or an inherited closure that
+    // outlived its fork) keeps an empty recorder, not this one.
+    let rec = std::mem::take(&mut *scope.lock());
+    (out, rec)
+}
+
+/// Runs `f` with `scope` bound to the calling thread, restoring the
+/// thread's own binding afterwards (also on unwind).
+fn run_in<R>(scope: Option<Arc<Scoped>>, f: impl FnOnce() -> R) -> R {
+    struct Restore(Option<Arc<Scoped>>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            let prev = self.0.take();
+            let _ = SCOPE.try_with(|s| *s.borrow_mut() = prev);
+        }
+    }
+    if scope.is_none() && LIVE.load(Ordering::Relaxed) == 0 {
+        return f();
+    }
+    let _restore = Restore(SCOPE.with(|s| s.replace(scope)));
+    f()
+}
+
+/// Wraps `f` so that, wherever it runs, it records into the scope of the
+/// thread calling `inherit` (or into the global recorder if that thread
+/// has none). Fork points wrap each closure they may hand to another
+/// thread: `RayonJoiner` and the other `rayon::join` call sites in
+/// `gep-parallel` do. Costs one relaxed atomic load when nothing records.
+pub fn inherit<R>(f: impl FnOnce() -> R) -> impl FnOnce() -> R {
+    let scope = if LIVE.load(Ordering::Relaxed) == 0 {
+        None
+    } else {
+        thread_scope()
+    };
+    move || run_in(scope, f)
 }
 
 /// Adds `delta` to the named counter. No-op when disabled.
 pub fn counter_add(name: &str, delta: u64) {
-    if !enabled() {
-        return;
-    }
-    if let Some(r) = sink().as_mut() {
+    with_target(|r| {
         let c = r.counters.entry(name.to_string()).or_insert(0);
         *c = c.wrapping_add(delta);
-    }
+    });
 }
 
 /// Sets the named gauge. No-op when disabled.
 pub fn gauge_set(name: &str, value: f64) {
-    if !enabled() {
-        return;
-    }
-    if let Some(r) = sink().as_mut() {
+    with_target(|r| {
         r.gauges.insert(name.to_string(), value);
-    }
+    });
 }
 
 /// One snapshot of the installed recorder's counters and gauges for the
@@ -177,7 +300,7 @@ pub fn gauge_set(name: &str, value: f64) {
 /// clone happens under the sink mutex; serialization and file I/O stay
 /// outside it.
 pub(crate) fn snapshot_for_sampler() -> Option<(BTreeMap<String, u64>, BTreeMap<String, f64>)> {
-    if !enabled() {
+    if LIVE.load(Ordering::Relaxed) == 0 {
         return None;
     }
     sink()
@@ -201,7 +324,7 @@ pub struct MetricsSnapshot {
 /// its exposition from here. The clone happens under the sink mutex;
 /// callers serialize outside it. `None` when no recorder is installed.
 pub fn metrics_snapshot() -> Option<MetricsSnapshot> {
-    if !enabled() {
+    if LIVE.load(Ordering::Relaxed) == 0 {
         return None;
     }
     sink().as_ref().map(|r| MetricsSnapshot {
@@ -214,15 +337,13 @@ pub fn metrics_snapshot() -> Option<MetricsSnapshot> {
 /// Records one sample into the named histogram. No-op when disabled
 /// (one relaxed atomic load, like [`counter_add`]).
 pub fn hist_record(name: &str, value: u64) {
-    if !enabled() {
-        return;
-    }
-    if let Some(r) = sink().as_mut() {
-        r.hists.entry(name.to_string()).or_default().record(value);
-    }
+    with_target(|r| r.hists.entry(name.to_string()).or_default().record(value));
 }
 
 struct ActiveSpan {
+    /// Where the span closes into: the scope it opened under, or the
+    /// global recorder.
+    scope: Option<Arc<Scoped>>,
     name: &'static str,
     cat: &'static str,
     start: Instant,
@@ -247,6 +368,7 @@ pub fn span(name: &'static str, cat: &'static str) -> SpanGuard {
         v
     });
     SpanGuard(Some(ActiveSpan {
+        scope: thread_scope(),
         name,
         cat,
         start: Instant::now(),
@@ -271,7 +393,7 @@ impl Drop for SpanGuard {
         DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
         let end = Instant::now();
         let tid = TID.with(|t| *t);
-        if let Some(r) = sink().as_mut() {
+        let push = |r: &mut Recorder| {
             // `duration_since` saturates to zero for pre-epoch instants.
             let start_ns = a.start.duration_since(r.epoch).as_nanos() as u64;
             let dur_ns = end.duration_since(a.start).as_nanos() as u64;
@@ -284,6 +406,14 @@ impl Drop for SpanGuard {
                 depth: a.depth,
                 args: a.args,
             });
+        };
+        match &a.scope {
+            Some(scope) => push(&mut scope.lock()),
+            None => {
+                if let Some(r) = sink().as_mut() {
+                    push(r)
+                }
+            }
         }
     }
 }
@@ -395,5 +525,85 @@ mod tests {
         });
         let r = take().unwrap();
         assert_eq!(r.counter("par"), 4000);
+    }
+
+    /// Two scoped recordings running at once, beside a global recorder
+    /// fed by an unscoped thread: each sees exactly its own counts, and
+    /// work forked through `inherit` lands in its forker's scope.
+    #[test]
+    fn scopes_isolate_concurrent_work_from_each_other_and_the_global() {
+        let _g = lock();
+        install(Recorder::counters_only());
+        let scoped = |adds: u64| {
+            move || {
+                record(Recorder::counters_only(), || {
+                    std::thread::scope(|s| {
+                        s.spawn(inherit(|| {
+                            for _ in 0..adds {
+                                counter_add("work", 1);
+                            }
+                        }));
+                        // Not inherited: a bare spawned thread records
+                        // into the global recorder.
+                        s.spawn(|| counter_add("global.only", 1));
+                    });
+                    for _ in 0..adds {
+                        counter_add("work", 1);
+                        hist_record("lat", adds);
+                    }
+                    assert!(enabled());
+                })
+                .1
+            }
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(scoped(300));
+            let b = s.spawn(scoped(700));
+            for _ in 0..50 {
+                counter_add("work", 1);
+            }
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        let global = take().unwrap();
+        assert_eq!(a.counter("work"), 600);
+        assert_eq!(b.counter("work"), 1400);
+        assert_eq!(a.hist("lat").unwrap().count(), 300);
+        assert_eq!(a.counter("global.only"), 0);
+        assert_eq!(global.counter("work"), 50);
+        assert_eq!(global.counter("global.only"), 2);
+        assert!(global.hist("lat").is_none());
+    }
+
+    #[test]
+    fn nested_scopes_shadow_and_restore() {
+        let (inner, outer) = record(Recorder::new(), || {
+            counter_add("outer", 1);
+            let ((), inner) = record(Recorder::counters_only(), || {
+                assert!(!spans_enabled());
+                counter_add("inner", 1);
+                drop(span("skipped", "test"));
+            });
+            assert!(spans_enabled());
+            drop(span("kept", "test"));
+            counter_add("outer", 1);
+            inner
+        });
+        assert_eq!((inner.counter("inner"), inner.counter("outer")), (1, 0));
+        assert_eq!((outer.counter("inner"), outer.counter("outer")), (0, 2));
+        assert!(inner.spans.is_empty());
+        assert_eq!(outer.spans.len(), 1);
+        assert_eq!(outer.spans[0].name, "kept");
+    }
+
+    #[test]
+    fn scope_is_restored_when_the_closure_panics() {
+        let caught = std::panic::catch_unwind(|| {
+            record(Recorder::counters_only(), || panic!("boom"));
+        });
+        assert!(caught.is_err());
+        assert!(
+            scope_spans().is_none(),
+            "no scope left bound to this thread"
+        );
     }
 }

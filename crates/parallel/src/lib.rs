@@ -27,6 +27,10 @@ use gep_core::{BoxShape, GepMat, GepSpec, Joiner};
 use gep_matrix::Matrix;
 
 /// Rayon-backed joiner: `join` maps to [`rayon::join`].
+///
+/// Both closures are wrapped in [`gep_obs::inherit`], so a solve run
+/// under [`gep_obs::record`] keeps recording into its own scope on
+/// whatever thread rayon runs each half.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RayonJoiner;
 
@@ -40,7 +44,7 @@ impl Joiner for RayonJoiner {
         B: FnOnce() -> RB + Send,
     {
         gep_obs::counter_add("parallel.joins", 1);
-        rayon::join(a, b)
+        rayon::join(gep_obs::inherit(a), gep_obs::inherit(b))
     }
 }
 
@@ -133,15 +137,15 @@ unsafe fn simple_rec<S>(
     // Forward pass: F(X11), F(X12) ∥ F(X21), F(X22).
     simple_rec(spec, m, i0, j0, k0, h, base);
     rayon::join(
-        || simple_rec(spec, m, i0, j0 + h, k0, h, base),
-        || simple_rec(spec, m, i0 + h, j0, k0, h, base),
+        gep_obs::inherit(|| simple_rec(spec, m, i0, j0 + h, k0, h, base)),
+        gep_obs::inherit(|| simple_rec(spec, m, i0 + h, j0, k0, h, base)),
     );
     simple_rec(spec, m, i0 + h, j0 + h, k0, h, base);
     // Backward pass: F(X22), F(X21) ∥ F(X12), F(X11).
     simple_rec(spec, m, i0 + h, j0 + h, k0 + h, h, base);
     rayon::join(
-        || simple_rec(spec, m, i0 + h, j0, k0 + h, h, base),
-        || simple_rec(spec, m, i0, j0 + h, k0 + h, h, base),
+        gep_obs::inherit(|| simple_rec(spec, m, i0 + h, j0, k0 + h, h, base)),
+        gep_obs::inherit(|| simple_rec(spec, m, i0, j0 + h, k0 + h, h, base)),
     );
     simple_rec(spec, m, i0, j0, k0 + h, h, base);
 }

@@ -13,17 +13,12 @@ use gep_matrix::Matrix;
 use gep_obs::{check_well_nested, chrome_trace_string, Json, Recorder};
 use gep_parallel::span::{abcd_counts_full, base_cases_full, igep_calls_full};
 use gep_parallel::{igep_parallel, with_threads};
-use std::sync::{Mutex, PoisonError};
 
-/// The tests in this binary share the process-global recorder; cargo runs
-/// them on concurrent threads, so serialize the record/take windows.
-static LOCK: Mutex<()> = Mutex::new(());
-
+/// Records `run` into a recorder scoped to it: cargo runs these tests on
+/// concurrent threads, and each must count exactly its own engine's work,
+/// including what rayon forks onto other threads.
 fn record<R>(rec: Recorder, run: impl FnOnce() -> R) -> Recorder {
-    let _g = LOCK.lock().unwrap_or_else(PoisonError::into_inner);
-    gep_obs::install(rec);
-    run();
-    gep_obs::take().expect("recorder was installed")
+    gep_obs::record(rec, run).1
 }
 
 fn input(n: usize) -> Matrix<i64> {
@@ -112,17 +107,51 @@ fn parallel_run_agrees_with_recurrences_and_counts_joins() {
     assert_eq!(rec.counter("abcd.c.calls"), predicted.c);
     assert_eq!(rec.counter("abcd.d.calls"), predicted.d);
     assert_eq!(rec.counter("abcd.updates"), (n * n * n) as u64);
-    // Each internal (non-leaf) node issues a fixed number of joins:
-    // A has 2 `join` calls, B and C have 4, D has 2 `join4`s and a join4
-    // is two nested joins = 3. Leaves issue none. The internal count per
-    // kind is the total minus the leaves of that kind.
+    assert_eq!(rec.counter("parallel.joins"), joins_full(n, base));
+    assert_eq!(rec.gauge("parallel.pool_threads"), Some(4.0));
+}
+
+/// Joins the Figure 6 recursion issues for a full-Σ run: each internal
+/// (non-leaf) node issues a fixed number — A has 2 `join` calls, B and C
+/// have 4, D has 2 `join4`s and a join4 is two nested joins = 3. Leaves
+/// issue none. The internal count per kind is the total minus the leaves
+/// of that kind.
+fn joins_full(n: usize, base: usize) -> u64 {
+    let predicted = abcd_counts_full(n, base);
     let leaf = leaf_counts(n, base);
-    let joins = 2 * (predicted.a - leaf[0])
+    2 * (predicted.a - leaf[0])
         + 4 * (predicted.b - leaf[1])
         + 4 * (predicted.c - leaf[2])
-        + 6 * (predicted.d - leaf[3]);
-    assert_eq!(rec.counter("parallel.joins"), joins);
-    assert_eq!(rec.gauge("parallel.pool_threads"), Some(4.0));
+        + 6 * (predicted.d - leaf[3])
+}
+
+/// Regression for the process-global recorder race: two instrumented
+/// parallel solves of different sizes run at the same time, each in its
+/// own scope, and each scope holds exactly its own solve's counts.
+#[test]
+fn concurrent_scoped_solves_keep_exact_per_solve_counts() {
+    let solve = |n: usize, base: usize| {
+        move || {
+            record(Recorder::counters_only(), || {
+                with_threads(2, || igep_parallel(&SumSpec, &mut input(n), base))
+            })
+        }
+    };
+    for _ in 0..3 {
+        let (small, large) = std::thread::scope(|s| {
+            let small = s.spawn(solve(8, 2));
+            let large = s.spawn(solve(16, 1));
+            (small.join().unwrap(), large.join().unwrap())
+        });
+        for (rec, n, base) in [(small, 8usize, 2usize), (large, 16, 1)] {
+            let predicted = abcd_counts_full(n, base);
+            assert_eq!(rec.counter("abcd.a.calls"), predicted.a, "n={n}");
+            assert_eq!(rec.counter("abcd.d.calls"), predicted.d, "n={n}");
+            assert_eq!(rec.counter("abcd.base_cases"), base_cases_full(n, base));
+            assert_eq!(rec.counter("abcd.updates"), (n * n * n) as u64, "n={n}");
+            assert_eq!(rec.counter("parallel.joins"), joins_full(n, base), "n={n}");
+        }
+    }
 }
 
 /// Leaf (base-case) invocation counts per kind `[A, B, C, D]` of a full-Σ

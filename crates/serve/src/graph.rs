@@ -7,6 +7,8 @@
 //! `gep-bench::workloads` so seeds mean the same thing across the
 //! workspace.
 
+use std::fmt::Display;
+
 use gep_apps::Weight;
 use gep_matrix::Matrix;
 
@@ -96,6 +98,27 @@ pub fn apply_mutations(base: &mut Matrix<i64>, edges: &[EdgeMut]) {
     }
 }
 
+/// Checks that every off-diagonal weight of a base matrix is
+/// non-negative (the diagonal is ignored: the solve pins it to 0).
+/// Path reconstruction and the Dijkstra oracles assume no negative
+/// cycles, so the server refuses negative weights outright.
+pub fn check_weights(base: &Matrix<i64>) -> Result<(), String> {
+    base.iter_indexed()
+        .filter(|&(i, j, _)| i != j)
+        .try_for_each(|(i, j, &w)| check_weight(i, j, w))
+}
+
+/// One edge's share of [`check_weights`], also applied to every
+/// `mutate` triple.
+pub(crate) fn check_weight(u: impl Display, v: impl Display, w: i64) -> Result<(), String> {
+    if w < 0 {
+        return Err(format!(
+            "edge ({u}, {v}) has negative weight {w}; weights must be non-negative"
+        ));
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,5 +155,16 @@ mod tests {
         assert_eq!(base.get(0, 1), 7, "later mutation wins in order");
         assert_eq!(base.get(2, 3), TROPICAL_INF, "delete clamps to INF");
         assert_eq!(base.get(4, 4), 0, "diagonal untouched");
+    }
+
+    #[test]
+    fn check_weights_rejects_negative_edges_only() {
+        let mut base = random_graph(6, 5);
+        assert_eq!(check_weights(&base), Ok(()));
+        base.set(2, 2, -1);
+        assert_eq!(check_weights(&base), Ok(()), "the diagonal is ignored");
+        base.set(3, 1, -4);
+        let err = check_weights(&base).unwrap_err();
+        assert!(err.contains("(3, 1)") && err.contains("-4"), "{err}");
     }
 }

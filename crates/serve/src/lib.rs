@@ -2,15 +2,16 @@
 //!
 //! The paper's economics, productized: a single cache-oblivious I-GEP
 //! Floyd–Warshall solve costs `Θ(n³)` work but `O(n³/(B√M))` cache
-//! misses, and once solved, every point query — distance, path,
-//! reachability — is an `O(1)` (or `O(path)`) lookup. This crate wraps
-//! that trade in a long-running server:
+//! misses, and once solved, every distance and reachability query is an
+//! `O(1)` lookup and every path query a walk over one matrix row. This
+//! crate wraps that trade in a long-running server:
 //!
 //! * [`state`] — the epoch-versioned [`state::ApspCache`]: queries read
 //!   an immutable `Arc` snapshot and never block on a solve; a
-//!   background thread drains the mutation batch buffer, re-solves with
-//!   [`gep_apps::FwPredSpec`] (predecessor tracking for path
-//!   reconstruction), and atomically swaps the new epoch in;
+//!   background thread drains the mutation batch buffer, re-solves the
+//!   distance-only [`gep_apps::FwSpec`] on the SIMD min-plus leaves, and
+//!   atomically swaps the new epoch in; paths are rebuilt per query by
+//!   [`gep_apps::tight_path`] over the epoch's in-edges;
 //! * [`protocol`] — length-prefixed JSON frames over TCP, hand-rolled on
 //!   `std::net` with the workspace's own `gep_obs::Json` (no serde, no
 //!   async runtime); every response carries the answering epoch;

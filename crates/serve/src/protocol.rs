@@ -22,9 +22,10 @@
 //! A mutation triple `[u, v, w]` sets the weight of the directed edge
 //! `u → v` to `w`; any `w ≥` [`TROPICAL_INF`] deletes the edge, and
 //! diagonal entries (`u == v`) are ignored (the distance of a vertex to
-//! itself is pinned at 0). The whole `edges` array enters the server's
-//! batch buffer atomically, so one `mutate` request is re-solved as one
-//! batch.
+//! itself is pinned at 0). Weights must be non-negative; a batch with a
+//! negative `w` is rejected whole. The whole `edges` array enters the
+//! server's batch buffer atomically, so one `mutate` request is
+//! re-solved as one batch.
 //!
 //! ## Responses
 //!
@@ -133,7 +134,7 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Json>> {
         .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("frame not JSON: {e}")))
 }
 
-/// One directed-edge weight update: set `u → v` to `w` (`w ≥`
+/// One directed-edge weight update: set `u → v` to `w ≥ 0` (`w ≥`
 /// [`TROPICAL_INF`] deletes the edge).
 pub type EdgeMut = (u32, u32, i64);
 

@@ -42,6 +42,7 @@ use std::time::{Duration, Instant};
 use gep_matrix::Matrix;
 use gep_obs::{Histogram, Json};
 
+use crate::graph::check_weights;
 use crate::metrics::{PhaseNanos, ServeMetrics};
 use crate::protocol::{
     encode_frame, err_response, ok_response, read_frame_raw, request_trace, with_trace,
@@ -95,8 +96,11 @@ pub struct Server {
 
 impl Server {
     /// Solves `base` (blocking: the server only accepts once epoch 1 is
-    /// ready) and starts listening on `config.addr`.
+    /// ready) and starts listening on `config.addr`. Fails with
+    /// `InvalidInput` if `base` has a negative weight.
     pub fn start(config: &ServerConfig, base: Matrix<i64>) -> std::io::Result<Arc<Server>> {
+        check_weights(&base)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
         let listener = TcpListener::bind(resolve(&config.addr)?)?;
         let local_addr = listener.local_addr()?;
         let cache = ApspCache::new(base);

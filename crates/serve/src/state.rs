@@ -25,17 +25,17 @@ use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use gep_apps::floyd_warshall::{extract_path_pred, FwPredSpec, NO_PRED};
+use gep_apps::floyd_warshall::{tight_path, FwSpec, InEdges};
 use gep_apps::Weight;
 use gep_core::abcd::igep_opt;
 use gep_matrix::{next_pow2, Matrix};
 
-use crate::graph::apply_mutations;
+use crate::graph::{apply_mutations, check_weight, check_weights};
 use crate::metrics::ServeMetrics;
 use crate::protocol::EdgeMut;
 
 /// Base-case size handed to the I-GEP engine (the `r` at which the
-/// recursion bottoms out into the iterative kernel).
+/// recursion bottoms out into the base-case kernel).
 pub const SOLVE_BASE_SIZE: usize = 32;
 
 /// One immutable published solve.
@@ -44,8 +44,11 @@ pub struct Solved {
     pub epoch: u64,
     /// Logical vertex count (the matrix is padded to a power of two).
     n: usize,
-    /// The FwPredSpec-solved `(dist, pred)` matrix, padded side.
-    mat: Matrix<(i64, u32)>,
+    /// The distance-only solve, padded side: 8 bytes per cell.
+    dist: Matrix<i64>,
+    /// In-edges of the graph this epoch was solved from; `path` walks
+    /// its tight edges.
+    in_edges: InEdges,
     /// Wall-clock seconds the solve took.
     pub solve_s: f64,
     /// When the solve finished (for cache-age gauges).
@@ -60,48 +63,42 @@ impl Solved {
 
     /// Shortest distance `u → v`, `None` when unreachable.
     pub fn dist(&self, u: usize, v: usize) -> Option<i64> {
-        let d = self.mat[(u, v)].0;
+        let d = self.dist[(u, v)];
         (d < <i64 as Weight>::INFINITY).then_some(d)
     }
 
     /// Whether `v` is reachable from `u`.
     pub fn reach(&self, u: usize, v: usize) -> bool {
-        self.mat[(u, v)].0 < <i64 as Weight>::INFINITY
+        self.dist[(u, v)] < <i64 as Weight>::INFINITY
     }
 
-    /// One shortest path `u → v` as a vertex sequence (inclusive), via
-    /// the predecessor matrix. `None` when unreachable.
+    /// One shortest path `u → v` as a vertex sequence (inclusive), walked
+    /// backward over tight edges of this epoch's graph; it reads only row
+    /// `u` of the matrix. `None` when unreachable.
     pub fn path(&self, u: usize, v: usize) -> Option<Vec<usize>> {
-        extract_path_pred(&self.mat, u, v)
-    }
-
-    /// The raw solved matrix (oracle verification in tests/experiments).
-    pub fn matrix(&self) -> &Matrix<(i64, u32)> {
-        &self.mat
+        tight_path(self.dist.row(u), &self.in_edges, u, v)
     }
 }
 
-/// Runs the padded I-GEP FwPredSpec solve for an `n`-vertex base matrix.
-fn solve(base: &Matrix<i64>) -> (Matrix<(i64, u32)>, f64) {
+/// Runs the padded distance-only I-GEP solve for an `n`-vertex base
+/// matrix — the `MinPlusI64` SIMD leaves, as `apsp` uses — and indexes
+/// the base graph's in-edges for path queries.
+fn solve(base: &Matrix<i64>) -> (Matrix<i64>, InEdges, f64) {
     let n = base.n();
     let padded = next_pow2(n.max(1));
     let mut c = Matrix::from_fn(padded, padded, |i, j| {
         if i == j {
-            (0i64, NO_PRED)
+            0
         } else if i < n && j < n {
-            let w = base.get(i, j);
-            if w < <i64 as Weight>::INFINITY {
-                (w, i as u32)
-            } else {
-                (<i64 as Weight>::INFINITY, NO_PRED)
-            }
+            base.get(i, j).min(<i64 as Weight>::INFINITY)
         } else {
-            (<i64 as Weight>::INFINITY, NO_PRED)
+            <i64 as Weight>::INFINITY
         }
     });
     let t0 = Instant::now();
-    igep_opt(&FwPredSpec, &mut c, SOLVE_BASE_SIZE.min(padded));
-    (c, t0.elapsed().as_secs_f64())
+    igep_opt(&FwSpec::<i64>::new(), &mut c, SOLVE_BASE_SIZE.min(padded));
+    let solve_s = t0.elapsed().as_secs_f64();
+    (c, InEdges::from_matrix(base), solve_s)
 }
 
 /// What the solver thread shares with the front end.
@@ -147,10 +144,18 @@ pub struct ApspCache {
 impl ApspCache {
     /// Solves `base` synchronously (epoch 1) and starts the background
     /// solver thread.
+    ///
+    /// # Panics
+    /// Panics unless `base` is square with non-negative weights (see
+    /// [`check_weights`]); `Server::start` checks first and returns an
+    /// error instead.
     pub fn new(base: Matrix<i64>) -> Arc<ApspCache> {
         assert!(base.is_square(), "base distance matrix must be square");
+        if let Err(e) = check_weights(&base) {
+            panic!("{e}");
+        }
         let n = base.n();
-        let (mat, solve_s) = solve(&base);
+        let (dist, in_edges, solve_s) = solve(&base);
         // `serve.resolve_s` has exactly one writer at a time: this
         // thread now, the solver thread after it spawns below. All other
         // `serve.*` gauges belong to the server's stats ticker.
@@ -159,7 +164,8 @@ impl ApspCache {
             current: RwLock::new(Arc::new(Solved {
                 epoch: 1,
                 n,
-                mat,
+                dist,
+                in_edges,
                 solve_s,
                 solved_at: Instant::now(),
             })),
@@ -190,17 +196,19 @@ impl ApspCache {
     }
 
     /// Appends a mutation batch and wakes the solver. Returns the batch
-    /// depth (pending mutations) after the append. Endpoints are
-    /// validated against the graph size here, so the solver thread can
+    /// depth (pending mutations) after the append. Endpoints and weights
+    /// are validated here — a batch with an out-of-range vertex or a
+    /// negative weight is rejected whole — so the solver thread can
     /// assume well-formed batches. Connection threads only bump counters
     /// (additive, race-free); the `serve.batch_depth` gauge belongs to
     /// the server's periodic stats ticker.
     pub fn mutate(&self, edges: &[EdgeMut]) -> Result<usize, String> {
         let n = self.snapshot().n();
-        for &(u, v, _) in edges {
+        for &(u, v, w) in edges {
             if u as usize >= n || v as usize >= n {
                 return Err(format!("edge ({u}, {v}) out of range for n={n}"));
             }
+            check_weight(u, v, w)?;
         }
         let mut pending = self.pending.lock().unwrap();
         pending.batch.extend_from_slice(edges);
@@ -276,14 +284,15 @@ impl ApspCache {
                 // n³ solve (new mutations keep batching meanwhile).
                 (batch, arrivals, pending.base.clone(), Instant::now())
             };
-            let (mat, solve_s) = solve(&base);
+            let (dist, in_edges, solve_s) = solve(&base);
             {
                 let mut current = self.current.write().unwrap();
                 let epoch = current.epoch + 1;
                 *current = Arc::new(Solved {
                     epoch,
                     n: base.n(),
-                    mat,
+                    dist,
+                    in_edges,
                     solve_s,
                     solved_at: Instant::now(),
                 });
@@ -326,7 +335,7 @@ impl Drop for ApspCache {
 mod tests {
     use super::*;
     use crate::graph::{random_graph, random_mutations};
-    use gep_apps::reference::fw_reference;
+    use gep_apps::reference::{dijkstra_reference, fw_reference};
 
     #[test]
     fn initial_solve_matches_reference() {
@@ -414,6 +423,178 @@ mod tests {
             }
         }
         cache.stop();
+    }
+
+    /// Checks every pair of `snap` against the Dijkstra oracle on
+    /// `graph`: the distance matches, and the path (present exactly when
+    /// the oracle reaches) walks real edges of `graph` and weighs that
+    /// distance. Returns the hop count of every path found.
+    fn check_against_dijkstra(snap: &Solved, graph: &Matrix<i64>) -> Vec<Vec<Option<usize>>> {
+        let n = snap.n();
+        (0..n)
+            .map(|u| {
+                let oracle = dijkstra_reference(graph, u);
+                (0..n)
+                    .map(|v| {
+                        let want = Some(oracle[v]).filter(|&d| d < TROPICAL_INF_L);
+                        assert_eq!(snap.dist(u, v), want, "dist ({u},{v})");
+                        let path = snap.path(u, v);
+                        assert_eq!(path.is_some(), want.is_some(), "path ({u},{v})");
+                        let p = path?;
+                        assert_eq!((p[0], *p.last().unwrap()), (u, v));
+                        let mut total = 0;
+                        for hop in p.windows(2) {
+                            let w = graph.get(hop[0], hop[1]);
+                            assert!(hop[0] != hop[1] && w < TROPICAL_INF_L, "{p:?}");
+                            total += w;
+                        }
+                        assert_eq!(Some(total), want, "weight of {p:?}");
+                        Some(p.len() - 1)
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn paths_match_dijkstra_oracle_across_epochs() {
+        let n = 24;
+        let mut graph = random_graph(n, 21);
+        let cache = ApspCache::new(graph.clone());
+        check_against_dijkstra(&cache.snapshot(), &graph);
+        for seed in [4, 6] {
+            let muts = random_mutations(n, 30, seed);
+            cache.mutate(&muts).unwrap();
+            cache.quiesce();
+            apply_mutations(&mut graph, &muts);
+            check_against_dijkstra(&cache.snapshot(), &graph);
+        }
+        assert_eq!(cache.snapshot().epoch, 3);
+        cache.stop();
+    }
+
+    /// On unit weights, every path is a shortest *unweighted* path: its
+    /// hop count is the BFS distance.
+    #[test]
+    fn paths_match_bfs_hops_on_unit_graphs() {
+        let n = 20;
+        let mut rng = crate::graph::XorShift::new(0xB0F5);
+        let graph = Matrix::from_fn(n, n, |i, j| match (i == j, rng.below(4) == 0) {
+            (true, _) => 0,
+            (false, true) => 1,
+            (false, false) => TROPICAL_INF_L,
+        });
+        let cache = ApspCache::new(graph.clone());
+        let hops = check_against_dijkstra(&cache.snapshot(), &graph);
+        for (u, row) in hops.iter().enumerate() {
+            let mut bfs = vec![None; n];
+            bfs[u] = Some(0);
+            let mut queue = std::collections::VecDeque::from([u]);
+            while let Some(x) = queue.pop_front() {
+                for y in 0..n {
+                    if graph.get(x, y) == 1 && bfs[y].is_none() {
+                        bfs[y] = Some(bfs[x].unwrap() + 1);
+                        queue.push_back(y);
+                    }
+                }
+            }
+            assert_eq!(row, &bfs, "hops from {u}");
+        }
+        cache.stop();
+    }
+
+    /// A zero-weight cycle 3 ⇄ 1 beside the real route 0 → 2 → 3: walking
+    /// back from 3, the first tight in-edge leads into the cycle, a dead
+    /// end the walk must back out of.
+    #[test]
+    fn zero_weight_cycle_dead_end_does_not_trap_the_path_walk() {
+        let inf = TROPICAL_INF_L;
+        let graph = Matrix::from_rows(&[
+            vec![0, inf, 1, inf],
+            vec![inf, 0, inf, 0],
+            vec![inf, inf, 0, 0],
+            vec![inf, 0, inf, 0],
+        ]);
+        let cache = ApspCache::new(graph.clone());
+        let snap = cache.snapshot();
+        assert_eq!(snap.path(0, 3), Some(vec![0, 2, 3]));
+        assert_eq!(snap.path(0, 1), Some(vec![0, 2, 3, 1]));
+        check_against_dijkstra(&snap, &graph);
+        cache.stop();
+    }
+
+    /// Each epoch answers paths from its own graph: a shortcut added in
+    /// epoch 2 is taken there, gone again in epoch 3, and a reader still
+    /// holding the epoch-2 snapshot keeps seeing it.
+    #[test]
+    fn decrease_then_increase_of_one_edge_across_two_epochs() {
+        let inf = TROPICAL_INF_L;
+        let graph = Matrix::from_rows(&[
+            vec![0, 10, 1, inf],
+            vec![inf, 0, inf, 1],
+            vec![inf, 1, 0, inf],
+            vec![inf, inf, inf, 0],
+        ]);
+        let cache = ApspCache::new(graph);
+        assert_eq!(cache.snapshot().path(0, 3), Some(vec![0, 2, 1, 3]));
+        cache.mutate(&[(0, 1, 1)]).unwrap();
+        cache.quiesce();
+        let decreased = cache.snapshot();
+        assert_eq!((decreased.epoch, decreased.dist(0, 3)), (2, Some(2)));
+        assert_eq!(decreased.path(0, 3), Some(vec![0, 1, 3]));
+        cache.mutate(&[(0, 1, 10)]).unwrap();
+        cache.quiesce();
+        let increased = cache.snapshot();
+        assert_eq!((increased.epoch, increased.dist(0, 3)), (3, Some(3)));
+        assert_eq!(increased.path(0, 3), Some(vec![0, 2, 1, 3]));
+        assert_eq!(
+            decreased.path(0, 3),
+            Some(vec![0, 1, 3]),
+            "epoch 2 keeps its graph"
+        );
+        cache.stop();
+    }
+
+    #[test]
+    fn unreachable_pairs_and_self_paths() {
+        let inf = TROPICAL_INF_L;
+        // 2 is a sink; 3 is isolated.
+        let graph = Matrix::from_rows(&[
+            vec![0, 4, inf, inf],
+            vec![3, 0, 5, inf],
+            vec![inf, inf, 0, inf],
+            vec![inf, inf, inf, 0],
+        ]);
+        let cache = ApspCache::new(graph);
+        let snap = cache.snapshot();
+        for v in 0..4 {
+            assert_eq!(snap.path(v, v), Some(vec![v]), "self path {v}");
+            assert_eq!(snap.dist(v, v), Some(0));
+        }
+        for (u, v) in [(2, 0), (2, 1), (0, 3), (3, 0), (3, 2)] {
+            assert_eq!(snap.path(u, v), None, "({u},{v})");
+            assert_eq!(snap.dist(u, v), None);
+            assert!(!snap.reach(u, v));
+        }
+        assert_eq!(snap.path(0, 2), Some(vec![0, 1, 2]));
+        cache.stop();
+    }
+
+    #[test]
+    fn negative_weight_mutations_are_rejected_whole() {
+        let cache = ApspCache::new(random_graph(8, 1));
+        let err = cache.mutate(&[(0, 1, 5), (2, 3, -1)]).unwrap_err();
+        assert!(err.contains("negative"), "{err}");
+        assert_eq!(cache.batch_depth(), 0, "rejected batch leaves no residue");
+        cache.stop();
+    }
+
+    #[test]
+    #[should_panic(expected = "negative weight")]
+    fn negative_base_weight_is_refused() {
+        let mut base = random_graph(8, 1);
+        base.set(1, 2, -3);
+        ApspCache::new(base);
     }
 
     #[test]

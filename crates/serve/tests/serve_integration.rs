@@ -195,6 +195,50 @@ fn malformed_and_out_of_range_requests_get_clean_errors() {
     server.shutdown();
 }
 
+/// Path reconstruction and the Dijkstra oracles assume no negative
+/// cycles, so negative weights are refused at both doors: `Server::start`
+/// returns an error, and `mutate` answers a clean `ok:false` frame that
+/// leaves the connection open and the graph unchanged.
+#[test]
+fn negative_weights_are_rejected_cleanly() {
+    use gep_serve::protocol::{read_frame, write_frame};
+    use std::io::{BufReader, BufWriter};
+
+    let mut bad = random_graph(8, 4);
+    bad.set(2, 5, -7);
+    let err = Server::start(&ServerConfig::default(), bad)
+        .err()
+        .expect("start refuses");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+    assert!(err.to_string().contains("negative"), "{err}");
+
+    let server = start_server(8, 4);
+    let stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    let mut r = BufReader::new(stream.try_clone().unwrap());
+    let mut w = BufWriter::new(stream);
+    let mutate = Request::Mutate {
+        edges: vec![(0, 1, 3), (1, 2, -1)],
+    };
+    write_frame(&mut w, &mutate.to_json()).unwrap();
+    let resp = read_frame(&mut r).unwrap().unwrap();
+    assert!(!response_ok(&resp));
+    assert!(
+        resp.get("error")
+            .and_then(Json::as_str)
+            .unwrap()
+            .contains("negative"),
+        "{resp:?}"
+    );
+    // Same connection, next request: still served, still epoch 1.
+    write_frame(&mut w, &Request::Path { u: 0, v: 1 }.to_json()).unwrap();
+    let resp = read_frame(&mut r).unwrap().unwrap();
+    assert!(response_ok(&resp));
+    assert_eq!(response_epoch(&resp), Some(1));
+    server.cache().quiesce();
+    assert_eq!(server.cache().stats().resolves, 0, "nothing was applied");
+    server.shutdown();
+}
+
 #[test]
 fn graceful_shutdown_flushes_final_flight_sample() {
     // Other tests in this binary may still share the process-global

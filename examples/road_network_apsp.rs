@@ -1,13 +1,14 @@
 //! A realistic APSP workload: all-pairs shortest paths with route
 //! reconstruction on a synthetic road network (grid with highways),
-//! solved by cache-oblivious I-GEP with the path-tracking spec.
+//! solved by the cache-oblivious distance-only I-GEP (SIMD min-plus
+//! leaves), with routes rebuilt afterwards by walking tight edges.
 //!
 //! ```text
 //! cargo run -p gep --release --example road_network_apsp
 //! ```
 
-use gep::apps::floyd_warshall::{extract_path, path_matrix};
-use gep::core::igep_opt;
+use gep::apps::floyd_warshall::{apsp, distance_matrix, tight_path, InEdges};
+use gep::apps::Weight;
 use gep::matrix::next_pow2;
 
 /// Builds a `side x side` grid road network: local streets between
@@ -59,22 +60,24 @@ fn main() {
     let (n, edges) = road_network(side);
     println!("road network: {n} junctions, {} road segments", edges.len());
 
-    // Build the (dist, next-hop) matrix, pad to a power of two, solve.
-    let m = path_matrix(n, &edges);
-    let mut padded = m.padded((i64::MAX / 4, u32::MAX));
+    // Build the distance matrix, pad to a power of two, solve.
+    let m = distance_matrix(n, &edges);
+    let mut padded = m.padded(<i64 as Weight>::INFINITY);
     println!(
         "padded to {} x {} for the recursion",
         padded.n(),
         padded.n()
     );
     assert_eq!(padded.n(), next_pow2(n));
-    igep_opt(&gep::apps::FwPathSpec, &mut padded, 32);
+    apsp(&mut padded, 32);
 
-    // Route queries with reconstruction.
+    // Route queries: walk tight edges of the unpadded network backward
+    // from the destination, reading one row of the solved matrix.
+    let in_edges = InEdges::from_matrix(&m);
     let from = 0; // top-left corner
     let to = n - 1; // bottom-right corner
-    let dist = padded[(from, to)].0;
-    let route = extract_path(&padded, from, to).expect("network is connected");
+    let dist = padded[(from, to)];
+    let route = tight_path(padded.row(from), &in_edges, from, to).expect("network is connected");
     println!(
         "fastest {from} -> {to}: cost {dist}, {} hops",
         route.len() - 1
@@ -104,7 +107,7 @@ fn main() {
     // Network diameter (longest shortest path among real vertices).
     let diameter = (0..n)
         .flat_map(|i| (0..n).map(move |j| (i, j)))
-        .map(|(i, j)| padded[(i, j)].0)
+        .map(|(i, j)| padded[(i, j)])
         .max()
         .unwrap();
     println!("network diameter: {diameter}");

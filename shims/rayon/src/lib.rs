@@ -17,6 +17,12 @@
 //! both closures sequentially. That preserves rayon's semantics (both
 //! closures complete before `join` returns; panics propagate) and enough
 //! of its parallelism for the Figure 12 thread sweep to be meaningful.
+//!
+//! Like rayon's pool workers, the spawned threads start with fresh
+//! thread-locals. Thread context a fork must keep — `gep-obs` recording
+//! scopes — is carried by the caller wrapping each closure in
+//! `gep_obs::inherit`, as `gep_parallel::RayonJoiner` does; that works
+//! the same over this shim and over the real crate.
 
 use std::sync::atomic::{AtomicIsize, AtomicUsize, Ordering};
 use std::sync::OnceLock;

@@ -190,38 +190,40 @@ proptest! {
         prop_assert_eq!(p.shrunk(rows, cols), m);
     }
 
-    /// Path-tracking Floyd–Warshall: every reconstructed path is a real
-    /// walk in the graph with total weight equal to the reported distance,
-    /// and distances agree with Dijkstra.
+    /// Distance-only Floyd–Warshall plus tight-edge paths: distances agree
+    /// with Dijkstra, every rebuilt path is a real walk in the graph with
+    /// total weight equal to the reported distance, and a path is missing
+    /// exactly when the destination is unreachable.
     #[test]
     fn fw_paths_are_valid_walks(q in 1usize..=4, seed in any::<u64>()) {
-        use gep::apps::floyd_warshall::{extract_path, FwPathSpec, NO_NEXT};
+        use gep::apps::floyd_warshall::{apsp, tight_path, InEdges};
         let n = 1usize << q;
+        let inf = <i64 as Weight>::INFINITY;
         let mut s = seed | 1;
         let dist = Matrix::from_fn(n, n, |i, j| {
             if i == j { 0i64 } else {
                 s ^= s << 13; s ^= s >> 7; s ^= s << 17;
-                if s % 3 == 0 { <i64 as Weight>::INFINITY } else { (s % 40) as i64 + 1 }
+                if s % 3 == 0 { inf } else { (s % 40) as i64 + 1 }
             }
         });
-        let init = Matrix::from_fn(n, n, |i, j| {
-            let d = dist[(i, j)];
-            (d, if i != j && d < <i64 as Weight>::INFINITY { j as u32 } else { NO_NEXT })
-        });
-        let mut solved = init.clone();
-        igep_opt(&FwPathSpec, &mut solved, 4);
+        let mut solved = dist.clone();
+        apsp(&mut solved, 4);
+        let in_edges = InEdges::from_matrix(&dist);
         for src in 0..n {
             let dj = reference::dijkstra_reference(&dist, src);
             for v in 0..n {
-                prop_assert_eq!(solved[(src, v)].0.min(<i64 as Weight>::INFINITY),
-                                dj[v].min(<i64 as Weight>::INFINITY), "dist {} {}", src, v);
-                if let Some(path) = extract_path(&solved, src, v) {
-                    let mut total = 0i64;
-                    for w in path.windows(2) {
-                        prop_assert!(dist[(w[0], w[1])] < <i64 as Weight>::INFINITY);
-                        total += dist[(w[0], w[1])];
+                prop_assert_eq!(solved[(src, v)].min(inf), dj[v].min(inf), "dist {} {}", src, v);
+                match tight_path(solved.row(src), &in_edges, src, v) {
+                    Some(path) => {
+                        prop_assert_eq!((path[0], path[path.len() - 1]), (src, v));
+                        let mut total = 0i64;
+                        for w in path.windows(2) {
+                            prop_assert!(w[0] != w[1] && dist[(w[0], w[1])] < inf);
+                            total += dist[(w[0], w[1])];
+                        }
+                        prop_assert_eq!(total, solved[(src, v)]);
                     }
-                    prop_assert_eq!(total, solved[(src, v)].0);
+                    None => prop_assert!(solved[(src, v)] >= inf, "no path {} {}", src, v),
                 }
             }
         }
