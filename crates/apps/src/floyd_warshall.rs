@@ -11,7 +11,9 @@
 //! alias so call sites read as before. Paths are not solved for: after a
 //! distance-only solve, [`tight_path`] rebuilds one shortest path by
 //! walking tight edges backward from the destination over the graph's
-//! [`InEdges`], reading a single row of the matrix. [`FwPredSpec`], which
+//! [`InEdges`], reading a single row of the matrix. A new or cheaper edge
+//! is folded into a solved matrix by [`relax_edge`], one `O(n²)` rank-1
+//! min-plus update, exact and equal to a re-solve. [`FwPredSpec`], which
 //! carries a predecessor beside each distance, remains as a benchmark
 //! reference.
 //!
@@ -220,6 +222,46 @@ pub fn tight_path(row: &[i64], in_edges: &InEdges, src: usize, dst: usize) -> Op
         walk.push((k, 0));
     }
     None
+}
+
+/// Folds a new or cheaper edge `a → b` of weight `w` into a solved
+/// distance matrix: the GEP update run for the single pivot edge,
+/// `d[i][j] ← min(d[i][j], d[i][a] ⊗ w ⊗ d[b][j])`, over the logical
+/// `n × n` block, saturating at [`TROPICAL_INF`]. `O(n²)`.
+///
+/// With non-negative weights this is exact: a shortest path of the new
+/// graph uses the new edge at most once, so it is either an old shortest
+/// path or `i ⇝ a → b ⇝ j` over old ones. The result equals a fresh
+/// solve of the new graph bit for bit; a padded solve's padding rows and
+/// columns (unreachable, `d[i][a] = d[b][j] = ∞`) are left untouched, as
+/// a fresh solve leaves them. Row `b` and column `a` cannot improve
+/// (`d[b][a] ⊗ w ≥ 0`), so relaxing in place reads no updated value.
+///
+/// # Panics
+/// Returns whether it relaxed: when `w ≥ d[a][b]` the edge shortens no
+/// path, and the matrix is left as is without a pass over it.
+///
+/// # Panics
+/// Panics if `a` or `b` is out of the `n × n` block of `d`.
+pub fn relax_edge(d: &mut Matrix<i64>, n: usize, a: usize, b: usize, w: i64) -> bool {
+    assert!(a < n && b < n, "edge ({a}, {b}) out of the {n} x {n} block");
+    if w >= d[(a, b)] {
+        return false;
+    }
+    let via = d.row(b)[..n].to_vec();
+    for i in 0..n {
+        let t = d[(i, a)].wadd(w);
+        if t >= TROPICAL_INF {
+            continue;
+        }
+        // `t < ∞` and every entry is at most `∞`, so `t + y` cannot
+        // overflow, and when it reaches `∞` the min keeps `x ≤ ∞`: the
+        // saturating `⊗` without a branch in the loop.
+        for (x, &y) in d.row_mut(i)[..n].iter_mut().zip(&via) {
+            *x = (*x).min(t + y);
+        }
+    }
+    true
 }
 
 /// Convenience: solve APSP with the optimised sequential I-GEP engine.
@@ -579,6 +621,65 @@ mod tests {
             assert_eq!(tight_path(m.row(3), &inn, 3, v), None, "3->{v} unreachable");
         }
         assert_eq!(tight_path(m.row(3), &inn, 3, 3), Some(vec![3]));
+    }
+
+    /// Pads `g` to a power-of-two side and solves it, as a server does.
+    fn padded_solve(g: &Matrix<i64>) -> Matrix<i64> {
+        let n = g.n();
+        let side = gep_matrix::next_pow2(n);
+        let mut d = Matrix::from_fn(side, side, |i, j| match (i == j, i < n && j < n) {
+            (true, _) => 0,
+            (false, true) => g[(i, j)],
+            (false, false) => TROPICAL_INF,
+        });
+        apsp(&mut d, 4);
+        d
+    }
+
+    /// Every rank-1 relaxation leaves the padded matrix equal, padding
+    /// included, to a fresh solve of the new graph, and its logical block
+    /// equal to the textbook oracle. The graphs have zero weights and
+    /// vertices with no edges at all.
+    #[test]
+    fn relax_edge_equals_a_fresh_solve_bit_for_bit() {
+        for (n, seed) in [(3usize, 5u64), (12, 0xC0DE), (20, 0xFEED)] {
+            let mut g = random_graph(n, seed);
+            for j in 0..n {
+                g[(0, j)] = if j == 0 { 0 } else { TROPICAL_INF };
+                g[(j, n - 1)] = if j == n - 1 { 0 } else { TROPICAL_INF };
+            }
+            let mut d = padded_solve(&g);
+            let mut s = seed;
+            for step in 0..3 * n {
+                s = s
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let (a, b) = ((s >> 20) as usize % n, (s >> 40) as usize % n);
+                let w = ((s >> 8) % 4) as i64 * ((s >> 12) % 30) as i64;
+                if a == b || w >= g[(a, b)] {
+                    continue;
+                }
+                g[(a, b)] = w;
+                let shorter = w < d[(a, b)];
+                assert_eq!(relax_edge(&mut d, n, a, b, w), shorter);
+                assert_eq!(d, padded_solve(&g), "n={n} step {step}: ({a},{b}) <- {w}");
+                let oracle = fw_reference(&g);
+                assert!((0..n).all(|i| d.row(i)[..n] == oracle.row(i)[..]));
+            }
+        }
+    }
+
+    #[test]
+    fn relax_edge_skips_an_edge_that_shortens_nothing() {
+        let edges = vec![(0usize, 1, 2i64), (1, 2, 2), (0, 2, 9)];
+        let mut d = padded_solve(&distance_matrix(3, &edges));
+        let before = d.clone();
+        assert!(!relax_edge(&mut d, 3, 0, 2, 4), "4 = d[0][2] already");
+        assert!(!relax_edge(&mut d, 3, 2, 0, TROPICAL_INF), "an absent edge");
+        assert_eq!(d, before);
+        assert!(relax_edge(&mut d, 3, 2, 0, 0), "a zero-weight back edge");
+        assert_eq!((d[(2, 1)], d[(1, 0)], d[(1, 1)]), (2, 2, 0));
+        assert_eq!(d[(3, 0)], TROPICAL_INF, "padding stays unreachable");
     }
 
     #[test]

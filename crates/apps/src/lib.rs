@@ -16,7 +16,8 @@
 //!   bitsliced GF(2) block elimination, prime fields GF(p), the reals;
 //! * [`floyd_warshall`] — all-pairs shortest paths (min-plus, full `Σ`),
 //!   with shortest paths rebuilt from the solved distances by walking
-//!   tight edges;
+//!   tight edges, and cheaper edges folded into a solved matrix by one
+//!   `O(n²)` rank-1 relaxation each;
 //! * [`gaussian`] — Gaussian elimination without pivoting
 //!   (`Σ = {i > k ∧ j > k}`, `f = x − u·v/w`), plus triangular solves and
 //!   an end-to-end linear solver;
@@ -45,7 +46,7 @@ pub mod transitive_closure;
 
 pub use closure::SemiringSpec;
 pub use elimination::ElimSpec;
-pub use floyd_warshall::{tight_path, FwPredSpec, FwSpec, InEdges, Weight};
+pub use floyd_warshall::{relax_edge, tight_path, FwPredSpec, FwSpec, InEdges, Weight};
 pub use gaussian::GaussianSpec;
 pub use lu::LuSpec;
 pub use matmul::MatMulEmbedSpec;

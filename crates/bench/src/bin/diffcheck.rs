@@ -46,6 +46,15 @@
 //!   uninterrupted run **bit for bit**. Failing seeds are printed, replay
 //!   via `crash --seed <u64>`, and are also appended to
 //!   `diffcheck-crash-failing-seeds.txt` so CI can archive them.
+//! * `incremental [trials]` — the incremental-serving axis
+//!   (`gep_bench::incrcheck`): each trial drives a `gep-serve` cache
+//!   through random mutation batches (decreases, inserts, zero weights,
+//!   slack and tight rises, deletes, bursts) and checks every published
+//!   epoch against the Floyd–Warshall and Dijkstra oracles, paths
+//!   included, whichever of the rank-1 update and the full re-solve the
+//!   server chose. Failing seeds print, replay via
+//!   `incremental --seed <u64>`, and go to
+//!   `diffcheck-incremental-failing-seeds.txt` like the crash axis's.
 
 use gep::apps::matmul::{matmul, MatMulEmbedSpec};
 use gep::apps::reference::{
@@ -796,6 +805,64 @@ fn crash_fuzz(trials: u64, replay: Option<u64>) -> bool {
     failing.is_empty()
 }
 
+/// The incremental-serving axis as a standalone fuzzer (subcommand
+/// `incremental`). Failing seeds go to
+/// `diffcheck-incremental-failing-seeds.txt` for CI to archive.
+fn incremental_fuzz(trials: u64, replay: Option<u64>) -> bool {
+    use gep_bench::incrcheck::incremental_trial;
+    if let Some(seed) = replay {
+        println!("replaying the incremental-axis trial of seed {seed:#018x}:");
+        return match incremental_trial(seed) {
+            Ok(s) => {
+                println!(
+                    "replay: n {}, {} edges, {} epochs ({} incremental), every epoch matches",
+                    s.n, s.edges, s.epochs, s.incremental
+                );
+                true
+            }
+            Err(e) => {
+                println!("replay: VIOLATION\n{e}");
+                false
+            }
+        };
+    }
+    let (mut epochs, mut incremental) = (0u64, 0u64);
+    let mut failing: Vec<u64> = Vec::new();
+    for trial in 0..trials {
+        let seed = mix(FUZZ_MASTER_SEED
+            .wrapping_add(0x494E_4352)
+            .wrapping_add(trial));
+        match incremental_trial(seed) {
+            Ok(s) => {
+                epochs += s.epochs;
+                incremental += s.incremental;
+            }
+            Err(e) => {
+                println!("trial {trial}: VIOLATION\n{e}");
+                println!("replay with: diffcheck incremental --seed {seed:#x}\n");
+                failing.push(seed);
+            }
+        }
+    }
+    if !failing.is_empty() {
+        let lines: String = failing.iter().map(|s| format!("{s:#018x}\n")).collect();
+        let path = "diffcheck-incremental-failing-seeds.txt";
+        match std::fs::write(path, &lines) {
+            Ok(()) => println!("wrote {} failing seed(s) to {path}", failing.len()),
+            Err(e) => println!("could not write {path}: {e}"),
+        }
+    }
+    println!(
+        "incremental: {trials} trials, {epochs} epochs ({incremental} incremental), {}",
+        if failing.is_empty() {
+            "every epoch matches the oracles"
+        } else {
+            "VIOLATIONS FOUND"
+        }
+    );
+    failing.is_empty()
+}
+
 /// Parses a seed in decimal or `0x`-prefixed hex.
 fn parse_seed(s: &str) -> Option<u64> {
     if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
@@ -872,6 +939,16 @@ fn main() {
             };
             crash_fuzz(trials, seed)
         }
+        "incremental" => {
+            let trials = match args.get(1) {
+                None => 200u64,
+                Some(s) => s.parse().unwrap_or_else(|_| {
+                    eprintln!("incremental: trial count '{s}' is not a non-negative integer");
+                    std::process::exit(2);
+                }),
+            };
+            incremental_fuzz(trials, seed)
+        }
         "all" => {
             let a = regression();
             println!();
@@ -881,12 +958,14 @@ fn main() {
             println!();
             let c = algebras_fuzz(50, seed);
             println!();
-            a && b && c && crash_fuzz(50, seed)
+            let d = crash_fuzz(50, seed);
+            println!();
+            a && b && c && d && incremental_fuzz(100, seed)
         }
         other => {
             eprintln!(
                 "unknown subcommand '{other}'; one of: regression, demo, fuzz, kernels, \
-                 algebras, crash, all"
+                 algebras, crash, incremental, all"
             );
             std::process::exit(2);
         }

@@ -1043,6 +1043,7 @@ fn main() {
             ("epoch_start", inum(outcome.epoch_start)),
             ("epoch_final", inum(outcome.epoch_final)),
             ("resolves", inum(outcome.resolves)),
+            ("incremental", inum(outcome.incremental)),
             ("mutations", inum(outcome.mutations)),
             ("epoch_regressions", inum(outcome.epoch_regressions)),
             ("oracle_match", Json::Bool(outcome.oracle_match)),
@@ -1094,6 +1095,7 @@ fn main() {
             ("errors", inum(outcome.errors)),
             ("epoch_final", inum(outcome.epoch_final)),
             ("resolves", inum(outcome.resolves)),
+            ("incremental", inum(outcome.incremental)),
             ("mutations", inum(outcome.mutations)),
             ("epoch_regressions", inum(outcome.epoch_regressions)),
             ("staleness_samples", inum(outcome.staleness_samples)),

@@ -11,11 +11,11 @@
 //!   closed-loop mode; per-request latency goes to log-bucketed
 //!   histograms (p50/p90/p99 in the document's `histograms` object —
 //!   informational, never gated).
-//! * **Phase 2 (mutate + re-solve)** — one `mutate` request carrying a
-//!   seeded batch; the background solver must run *exactly once* and
-//!   swap epoch 1 → 2. The post-swap matrix is verified bit-for-bit
-//!   against an independent from-scratch reference solve of the mutated
-//!   graph.
+//! * **Phase 2 (mutate + update)** — one `mutate` request carrying a
+//!   seeded batch; the background solver must publish *exactly one*
+//!   epoch, 1 → 2 (the batch raises a tight edge, so a full re-solve).
+//!   The post-swap matrix is verified bit-for-bit against an
+//!   independent from-scratch reference solve of the mutated graph.
 //! * **Phase 3 (post-swap reads)** — a short mixed workload answered
 //!   entirely at epoch 2.
 //!
@@ -50,8 +50,11 @@ pub struct ServeOutcome {
     pub epoch_start: u64,
     /// Epoch answering phase 3 / final (must be 2).
     pub epoch_final: u64,
-    /// Background re-solves (must be exactly 1: one batch, one solve).
+    /// Epochs after the first (must be exactly 1: one batch, one epoch).
     pub resolves: u64,
+    /// Of those, epochs published by rank-1 updates alone (this batch
+    /// raises a tight edge, so 0: it takes the full re-solve).
+    pub incremental: u64,
     /// Mutations in the applied batch.
     pub mutations: u64,
     /// Responses whose epoch went backwards on a connection (must be 0).
@@ -151,6 +154,7 @@ pub fn serve(quick: bool) -> ServeOutcome {
         epoch_start,
         epoch_final: post.epoch_max.max(snap.epoch),
         resolves: stats.resolves,
+        incremental: stats.incremental,
         mutations: stats.mutations_applied,
         epoch_regressions: read.epoch_regressions
             + post.epoch_regressions
@@ -175,8 +179,14 @@ pub fn print_serve(o: &ServeOutcome) {
         o.read_qps
     );
     println!(
-        "serve: epochs {} -> {} via {} re-solve(s) of a {}-edge batch; oracle match: {}; epoch regressions: {}",
-        o.epoch_start, o.epoch_final, o.resolves, o.mutations, o.oracle_match, o.epoch_regressions
+        "serve: epochs {} -> {} via {} update(s) ({} incremental) of a {}-edge batch; oracle match: {}; epoch regressions: {}",
+        o.epoch_start,
+        o.epoch_final,
+        o.resolves,
+        o.incremental,
+        o.mutations,
+        o.oracle_match,
+        o.epoch_regressions
     );
     for (op, hist) in &o.latency_ns {
         let q = |p: Option<u64>| p.map(|ns| ns as f64 / 1e3).unwrap_or(f64::NAN);

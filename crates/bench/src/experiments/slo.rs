@@ -57,8 +57,11 @@ pub struct SloOutcome {
     pub errors: u64,
     /// Final epoch (must be `1 + rounds`).
     pub epoch_final: u64,
-    /// Background re-solves (must be exactly `rounds`).
+    /// Epochs after the first (must be exactly `rounds`).
     pub resolves: u64,
+    /// Of those, epochs published by rank-1 updates alone (no round
+    /// raises a tight edge, so every round's).
+    pub incremental: u64,
     /// Edge mutations applied across all rounds.
     pub mutations: u64,
     /// Epoch-went-backwards observations (must be 0).
@@ -118,8 +121,8 @@ pub fn slo(quick: bool) -> SloOutcome {
     };
 
     // Warmup reads at epoch 1, then mutate→quiesce→read rounds: each
-    // round's single mutate call is one batch, one re-solve, one epoch
-    // swap, one staleness sample.
+    // round's single mutate call is one batch, one update (rank-1 or a
+    // re-solve), one epoch swap, one staleness sample.
     let mut reports = vec![run(warm_requests, 0x1111)];
     for round in 0..rounds {
         let edges = random_mutations(n, edges_per_round, seed ^ (0x2222 + round));
@@ -217,6 +220,7 @@ pub fn slo(quick: bool) -> SloOutcome {
         errors,
         epoch_final,
         resolves: stats.resolves,
+        incremental: stats.incremental,
         mutations: stats.mutations_applied,
         epoch_regressions,
         staleness_samples,
@@ -238,13 +242,14 @@ pub fn slo(quick: bool) -> SloOutcome {
 /// Human-readable summary (stdout companion of `BENCH_slo.json`).
 pub fn print_slo(o: &SloOutcome) {
     println!(
-        "slo: n={} workers={} — {} requests, {} errors, epochs 1 -> {} via {} re-solve(s) ({} edges), {} regressions",
+        "slo: n={} workers={} — {} requests, {} errors, epochs 1 -> {} via {} update(s) ({} incremental, {} edges), {} regressions",
         o.n,
         o.workers,
         o.requests,
         o.errors,
         o.epoch_final,
         o.resolves,
+        o.incremental,
         o.mutations,
         o.epoch_regressions
     );

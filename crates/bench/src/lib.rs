@@ -27,6 +27,7 @@
 pub mod compare;
 pub mod crashcheck;
 pub mod experiments;
+pub mod incrcheck;
 pub mod jsonout;
 pub mod trajectory;
 pub mod util;

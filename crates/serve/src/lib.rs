@@ -8,9 +8,11 @@
 //!
 //! * [`state`] — the epoch-versioned [`state::ApspCache`]: queries read
 //!   an immutable `Arc` snapshot and never block on a solve; a
-//!   background thread drains the mutation batch buffer, re-solves the
-//!   distance-only [`gep_apps::FwSpec`] on the SIMD min-plus leaves, and
-//!   atomically swaps the new epoch in; paths are rebuilt per query by
+//!   background thread drains the mutation batch buffer, folds cheaper
+//!   edges in by `O(n²)` rank-1 updates ([`gep_apps::relax_edge`]) or,
+//!   when a tight edge rises, re-solves the distance-only
+//!   [`gep_apps::FwSpec`] on the SIMD min-plus leaves, and atomically
+//!   swaps the new epoch in; paths are rebuilt per query by
 //!   [`gep_apps::tight_path`] over the epoch's in-edges;
 //! * [`protocol`] — length-prefixed JSON frames over TCP, hand-rolled on
 //!   `std::net` with the workspace's own `gep_obs::Json` (no serde, no

@@ -26,10 +26,13 @@
 //!
 //! Mutation freshness gets three more histograms, fed by the solver
 //! thread: `serve.mutation.queue_wait_ns` (enqueue → batch drain),
-//! `serve.mutation.batch_drain_ns` (drain → epoch publish, i.e. the
-//! re-solve) and `serve.mutation.staleness_ns` (enqueue → publish: how
+//! `serve.mutation.batch_drain_ns` (first drain → epoch publish: the
+//! update) and `serve.mutation.staleness_ns` (enqueue → publish: how
 //! long a client's accepted write stayed invisible — the
-//! mutation-to-visibility latency the SLO gate bounds).
+//! mutation-to-visibility latency the SLO gate bounds). A fourth,
+//! `serve.update_ns`, takes one sample per incremental epoch: the time
+//! its rank-1 relaxations took (a full re-solve reports through the
+//! `serve.resolve_s` gauge instead).
 
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -111,6 +114,7 @@ struct Inner {
     queue_wait_ns: Histogram,
     batch_drain_ns: Histogram,
     staleness_ns: Histogram,
+    update_ns: Histogram,
     slow_emitted: u64,
     slow_suppressed: u64,
     /// Current one-second rate-limit window: (start, events emitted).
@@ -143,15 +147,25 @@ impl ServeMetrics {
         }
     }
 
-    /// Records one drained mutation batch: per-arrival queue waits and
-    /// stalenesses (one sample per accepted `mutate` request) plus the
-    /// drain-to-publish duration (one sample per batch).
-    pub fn record_batch(&self, queue_wait_ns: &[u64], drain_ns: u64, staleness_ns: &[u64]) {
+    /// Records one published epoch's mutations: per-arrival queue waits
+    /// and stalenesses (one sample per accepted `mutate` request), the
+    /// drain-to-publish duration (one sample per epoch) and, for an
+    /// incremental epoch, its rank-1 update time.
+    pub fn record_batch(
+        &self,
+        queue_wait_ns: &[u64],
+        drain_ns: u64,
+        staleness_ns: &[u64],
+        update_ns: Option<u64>,
+    ) {
         let mut g = self.lock();
         for &w in queue_wait_ns {
             g.queue_wait_ns.record(w);
         }
         g.batch_drain_ns.record(drain_ns);
+        if let Some(ns) = update_ns {
+            g.update_ns.record(ns);
+        }
         for &s in staleness_ns {
             g.staleness_ns.record(s);
         }
@@ -202,6 +216,7 @@ impl ServeMetrics {
             ("serve.mutation.queue_wait_ns", &g.queue_wait_ns),
             ("serve.mutation.batch_drain_ns", &g.batch_drain_ns),
             ("serve.mutation.staleness_ns", &g.staleness_ns),
+            ("serve.update_ns", &g.update_ns),
         ] {
             if h.count() > 0 {
                 out.insert(name.to_string(), h.clone());
@@ -280,10 +295,13 @@ mod tests {
     #[test]
     fn batch_records_feed_the_freshness_histograms() {
         let m = ServeMetrics::new();
-        m.record_batch(&[100, 200], 5_000, &[5_100, 5_200]);
+        m.record_batch(&[100, 200], 5_000, &[5_100, 5_200], None);
+        assert!(!m.histograms().contains_key("serve.update_ns"));
+        m.record_batch(&[], 300, &[], Some(250));
         let hists = m.histograms();
+        assert_eq!(hists["serve.update_ns"].count(), 1);
         assert_eq!(hists["serve.mutation.queue_wait_ns"].count(), 2);
-        assert_eq!(hists["serve.mutation.batch_drain_ns"].count(), 1);
+        assert_eq!(hists["serve.mutation.batch_drain_ns"].count(), 2);
         assert_eq!(hists["serve.mutation.staleness_ns"].count(), 2);
         assert_eq!(hists["serve.mutation.staleness_ns"].max(), 5_200);
     }

@@ -27,9 +27,9 @@
 //! stats ticker below, which republishes them every 200 ms and once more
 //! on shutdown (so the flight file's final flush sample carries closing
 //! values). The one exception, `serve.resolve_s`, is written by the
-//! cache's single solver thread. This makes every gauge's last write the
-//! newest value by construction, with no cross-thread interleaving to
-//! reason about.
+//! cache's single solver thread, and only after a full solve. This makes
+//! every gauge's last write the newest value by construction, with no
+//! cross-thread interleaving to reason about.
 
 use std::collections::BTreeMap;
 use std::io::{BufReader, BufWriter};
@@ -427,7 +427,6 @@ fn dispatch(req: &Request, snap: &Arc<Solved>, shared: &Shared) -> Json {
             Err(msg) => err_response(epoch, &msg),
         },
         Request::Status => {
-            let stats = shared.cache.stats();
             // The per-op latency view: request counts and p50/p99 from
             // the server-side histograms (log-bucket resolution).
             let ops = Json::Obj(
@@ -452,13 +451,17 @@ fn dispatch(req: &Request, snap: &Arc<Solved>, shared: &Shared) -> Json {
                 epoch,
                 vec![
                     ("n", Json::Int(snap.n() as i64)),
-                    ("resolves", Json::Int(stats.resolves as i64)),
+                    // Epoch and counts come from the one snapshot, so
+                    // `resolves == epoch - 1` in every answer.
+                    ("resolves", Json::Int(snap.resolves() as i64)),
                     (
                         "mutations_applied",
-                        Json::Int(stats.mutations_applied as i64),
+                        Json::Int(snap.mutations_applied as i64),
                     ),
+                    ("incremental", Json::Int(snap.incremental as i64)),
                     ("batch_depth", Json::Int(shared.cache.batch_depth() as i64)),
                     ("solve_s", Json::from_f64(snap.solve_s)),
+                    ("update_s", Json::from_f64(snap.update_s)),
                     (
                         "cache_age_s",
                         Json::from_f64(snap.solved_at.elapsed().as_secs_f64()),
@@ -481,9 +484,10 @@ fn dispatch(req: &Request, snap: &Arc<Solved>, shared: &Shared) -> Json {
 
 /// Assembles the live exposition for the `metrics` op: the process-global
 /// recorder's counters/gauges/histograms when one is installed, overlaid
-/// with the server's own authoritative state — request totals, live
-/// gauges and the [`ServeMetrics`] histograms — so a scrape is complete
-/// even in a process running without a recorder.
+/// with the server's own authoritative state — request totals, the
+/// snapshot's epoch counts, live gauges and the [`ServeMetrics`]
+/// histograms — so a scrape is complete even in a process running
+/// without a recorder.
 fn build_exposition(snap: &Arc<Solved>, shared: &Shared) -> Json {
     let (mut counters, mut gauges, mut hists) = match gep_obs::metrics_snapshot() {
         Some(s) => (s.counters, s.gauges, s.hists),
@@ -501,6 +505,8 @@ fn build_exposition(snap: &Arc<Solved>, shared: &Shared) -> Json {
         "serve.requests.errors".into(),
         shared.errors.load(Ordering::Relaxed),
     );
+    counters.insert("serve.resolves".into(), snap.resolves());
+    counters.insert("serve.incremental".into(), snap.incremental);
     let (slow, suppressed) = shared.cache.metrics().slow_counts();
     counters.insert("serve.requests.slow".into(), slow);
     counters.insert("serve.requests.slow_suppressed".into(), suppressed);

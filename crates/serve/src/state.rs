@@ -17,28 +17,36 @@
 //!   monotone non-decreasing.
 //! * **Mutations batch.** Edge updates append to a buffer under a mutex
 //!   and wake the solver thread through a condvar. The solver drains the
-//!   *entire* buffer each wake, applies it to the base matrix, re-solves,
-//!   and swaps — so a burst of mutations costs one solve, not one each.
+//!   *entire* buffer each wake, applies it to the base matrix, updates
+//!   the distances and swaps — so a burst of mutations costs one epoch,
+//!   not one each.
+//! * **Cheaper edges cost `O(n²)`.** A batch whose edges only get
+//!   cheaper, appear, or rise off every shortest path is folded into a
+//!   copy of the published matrix by one rank-1 min-plus relaxation per
+//!   cheaper edge ([`relax_edge`]), exact and equal to a re-solve. Only a
+//!   rise or delete of a *tight* edge (`old weight == d[a][b]`), or a
+//!   batch whose relaxations would cost more than a solve, re-runs the
+//!   full I-GEP solve.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use gep_apps::floyd_warshall::{tight_path, FwSpec, InEdges};
+use gep_apps::floyd_warshall::{relax_edge, tight_path, FwSpec, InEdges};
 use gep_apps::Weight;
 use gep_core::abcd::igep_opt;
 use gep_matrix::{next_pow2, Matrix};
 
 use crate::graph::{apply_mutations, check_weight, check_weights};
 use crate::metrics::ServeMetrics;
-use crate::protocol::EdgeMut;
+use crate::protocol::{EdgeMut, TROPICAL_INF};
 
 /// Base-case size handed to the I-GEP engine (the `r` at which the
 /// recursion bottoms out into the base-case kernel).
 pub const SOLVE_BASE_SIZE: usize = 32;
 
-/// One immutable published solve.
+/// One immutable published epoch.
 pub struct Solved {
     /// Epoch number, strictly increasing from 1 per cache.
     pub epoch: u64,
@@ -49,9 +57,20 @@ pub struct Solved {
     /// In-edges of the graph this epoch was solved from; `path` walks
     /// its tight edges.
     in_edges: InEdges,
-    /// Wall-clock seconds the solve took.
+    /// Wall-clock seconds of the last full I-GEP solve; incremental
+    /// epochs carry it forward.
     pub solve_s: f64,
-    /// When the solve finished (for cache-age gauges).
+    /// Seconds of min-plus work that produced this epoch: the full solve
+    /// (epoch 1 and every re-solve) plus any rank-1 relaxations folded in
+    /// before publishing, or the relaxations alone.
+    pub update_s: f64,
+    /// Mutations (edges, as accepted) folded into this and every earlier
+    /// epoch.
+    pub mutations_applied: u64,
+    /// Epochs up to this one that were published from rank-1 relaxations
+    /// alone, without a full solve.
+    pub incremental: u64,
+    /// When the epoch was published (for cache-age gauges).
     pub solved_at: Instant,
 }
 
@@ -59,6 +78,11 @@ impl Solved {
     /// Logical vertex count.
     pub fn n(&self) -> usize {
         self.n
+    }
+
+    /// Epochs published after the first: `epoch − 1`.
+    pub fn resolves(&self) -> u64 {
+        self.epoch - 1
     }
 
     /// Shortest distance `u → v`, `None` when unreachable.
@@ -80,50 +104,157 @@ impl Solved {
     }
 }
 
-/// Runs the padded distance-only I-GEP solve for an `n`-vertex base
-/// matrix — the `MinPlusI64` SIMD leaves, as `apsp` uses — and indexes
-/// the base graph's in-edges for path queries.
-fn solve(base: &Matrix<i64>) -> (Matrix<i64>, InEdges, f64) {
+/// The solver's input for an `n`-vertex base matrix: padded to a power
+/// of two, zero diagonal, unreachable padding.
+fn padded(base: &Matrix<i64>) -> Matrix<i64> {
     let n = base.n();
-    let padded = next_pow2(n.max(1));
-    let mut c = Matrix::from_fn(padded, padded, |i, j| {
+    let side = next_pow2(n.max(1));
+    Matrix::from_fn(side, side, |i, j| {
         if i == j {
             0
         } else if i < n && j < n {
-            base.get(i, j).min(<i64 as Weight>::INFINITY)
+            base.get(i, j).min(TROPICAL_INF)
         } else {
-            <i64 as Weight>::INFINITY
+            TROPICAL_INF
         }
-    });
+    })
+}
+
+/// Runs the distance-only I-GEP solve in place — the `MinPlusI64` SIMD
+/// leaves, as `apsp` uses — and returns its wall-clock seconds.
+fn solve(c: &mut Matrix<i64>) -> f64 {
     let t0 = Instant::now();
-    igep_opt(&FwSpec::<i64>::new(), &mut c, SOLVE_BASE_SIZE.min(padded));
-    let solve_s = t0.elapsed().as_secs_f64();
-    (c, InEdges::from_matrix(base), solve_s)
+    igep_opt(&FwSpec::<i64>::new(), c, SOLVE_BASE_SIZE.min(c.n()));
+    t0.elapsed().as_secs_f64()
+}
+
+/// One off-diagonal edge of a batch with the weight it replaces.
+#[derive(Clone, Copy, Debug)]
+struct Edit {
+    a: usize,
+    b: usize,
+    old: i64,
+    w: i64,
+}
+
+/// How a batch of edits can reach the distances of its graph from a
+/// matrix `d` solved before it: `Some(k)` when `k` rank-1 relaxations
+/// do (every edit is a decrease, an insert or a no-op, or raises an edge
+/// that is not tight, `old > d[a][b]`, so no shortest path uses it);
+/// `None` when an edit raises a tight edge and only a full solve will.
+///
+/// `d` is the matrix before the batch. Relaxing an earlier edit can only
+/// lower `d[a][b]`, so a rise judged non-tight here stays non-tight when
+/// the walk reaches it; the check is conservative only for a rise that
+/// an earlier decrease in the same batch made non-tight.
+fn plan(d: &Matrix<i64>, edits: &[Edit]) -> Option<usize> {
+    let mut decreases = 0;
+    for e in edits {
+        if e.w < e.old {
+            decreases += 1;
+        } else if e.w > e.old && e.old <= d[(e.a, e.b)] {
+            return None;
+        }
+    }
+    Some(decreases)
+}
+
+/// Folds `edits` into `d` in order; returns how many relaxed.
+fn relax_all(d: &mut Matrix<i64>, n: usize, edits: &[Edit]) -> usize {
+    edits
+        .iter()
+        .filter(|e| e.w < e.old && relax_edge(d, n, e.a, e.b, e.w))
+        .count()
 }
 
 /// What the solver thread shares with the front end.
 struct Pending {
-    /// The authoritative base (un-solved) distance matrix; mutations
-    /// apply here before each re-solve.
+    /// The authoritative base (un-solved) distance matrix. Only the
+    /// solver thread changes it, applying each batch as it drains it.
     base: Matrix<i64>,
-    /// Accumulated, not-yet-solved mutations.
+    /// Accumulated, not-yet-drained mutations.
     batch: Vec<EdgeMut>,
-    /// Accept instant of each not-yet-solved `mutate` call (one entry
+    /// Accept instant of each not-yet-drained `mutate` call (one entry
     /// per accepted request, not per edge) — the enqueue timestamps the
     /// freshness histograms measure from.
     arrivals: Vec<Instant>,
+    /// Edges ever accepted; [`ApspCache::quiesce`] waits for the
+    /// published count to reach it.
+    accepted: u64,
     /// Set by [`ApspCache::stop`]; the solver drains and exits.
     stop: bool,
 }
 
-/// Lifetime counters, snapshotted by status responses and the stats
-/// ticker.
+impl Pending {
+    /// Appends one accepted `mutate` batch.
+    fn push(&mut self, edges: &[EdgeMut]) {
+        self.batch.extend_from_slice(edges);
+        self.accepted += edges.len() as u64;
+        if !edges.is_empty() {
+            // One arrival per accepted request: the freshness histograms
+            // get exactly one staleness sample per non-empty mutate.
+            self.arrivals.push(Instant::now());
+        }
+    }
+
+    /// The pending batch as edits of `base`, each edge against the
+    /// weight the edges before it leave there. Deletes clamp to
+    /// [`TROPICAL_INF`] and diagonal edges drop out, as in
+    /// [`apply_mutations`].
+    fn edits(&self) -> Vec<Edit> {
+        let mut now: HashMap<(usize, usize), i64> = HashMap::new();
+        self.batch
+            .iter()
+            .filter(|&&(u, v, _)| u != v)
+            .map(|&(u, v, w)| {
+                let (a, b, w) = (u as usize, v as usize, w.min(TROPICAL_INF));
+                let old = now
+                    .insert((a, b), w)
+                    .unwrap_or_else(|| self.base.get(a, b).min(TROPICAL_INF));
+                Edit { a, b, old, w }
+            })
+            .collect()
+    }
+
+    /// Takes the pending batch into `drain` and applies it to `base`.
+    fn drain_into(&mut self, drain: &mut Drain) {
+        let now = Instant::now();
+        drain.started.get_or_insert(now);
+        let batch = std::mem::take(&mut self.batch);
+        apply_mutations(&mut self.base, &batch);
+        drain.edges += batch.len() as u64;
+        for a in self.arrivals.drain(..) {
+            drain.queue_wait_ns.push(nanos(a, now));
+            drain.arrivals.push(a);
+        }
+    }
+}
+
+/// The mutations taken off the buffer for the epoch being built.
+#[derive(Default)]
+struct Drain {
+    /// When the first batch was drained.
+    started: Option<Instant>,
+    edges: u64,
+    arrivals: Vec<Instant>,
+    /// Enqueue → drain of each arrival.
+    queue_wait_ns: Vec<u64>,
+}
+
+fn nanos(from: Instant, to: Instant) -> u64 {
+    to.duration_since(from).as_nanos().min(u64::MAX as u128) as u64
+}
+
+/// Lifetime counters, bumped once an epoch's freshness samples are
+/// recorded: what [`ApspCache::quiesce`] waits on.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CacheStats {
-    /// Background re-solves completed (excludes the initial solve).
+    /// Epochs published after the first.
     pub resolves: u64,
     /// Total mutations ever folded into a published epoch.
     pub mutations_applied: u64,
+    /// Epochs published from rank-1 relaxations alone.
+    pub incremental: u64,
 }
 
 /// The epoch-versioned cache plus its background solver thread.
@@ -132,9 +263,6 @@ pub struct ApspCache {
     pending: Mutex<Pending>,
     wake: Condvar,
     stats: Mutex<CacheStats>,
-    /// Batches taken off the buffer (a solve is in flight whenever this
-    /// exceeds `stats.resolves`).
-    started: AtomicU64,
     /// Request/phase latency and mutation-freshness histograms, shared
     /// with the TCP front end.
     metrics: ServeMetrics,
@@ -154,8 +282,8 @@ impl ApspCache {
         if let Err(e) = check_weights(&base) {
             panic!("{e}");
         }
-        let n = base.n();
-        let (dist, in_edges, solve_s) = solve(&base);
+        let mut dist = padded(&base);
+        let solve_s = solve(&mut dist);
         // `serve.resolve_s` has exactly one writer at a time: this
         // thread now, the solver thread after it spawns below. All other
         // `serve.*` gauges belong to the server's stats ticker.
@@ -163,21 +291,24 @@ impl ApspCache {
         let cache = Arc::new(ApspCache {
             current: RwLock::new(Arc::new(Solved {
                 epoch: 1,
-                n,
+                n: base.n(),
                 dist,
-                in_edges,
+                in_edges: InEdges::from_matrix(&base),
                 solve_s,
+                update_s: solve_s,
+                mutations_applied: 0,
+                incremental: 0,
                 solved_at: Instant::now(),
             })),
             pending: Mutex::new(Pending {
                 base,
                 batch: Vec::new(),
                 arrivals: Vec::new(),
+                accepted: 0,
                 stop: false,
             }),
             wake: Condvar::new(),
             stats: Mutex::new(CacheStats::default()),
-            started: AtomicU64::new(0),
             metrics: ServeMetrics::new(),
             solver: Mutex::new(None),
         });
@@ -210,13 +341,8 @@ impl ApspCache {
             }
             check_weight(u, v, w)?;
         }
-        let mut pending = self.pending.lock().unwrap();
-        pending.batch.extend_from_slice(edges);
-        if !edges.is_empty() {
-            // One arrival per accepted request: the freshness histograms
-            // get exactly one staleness sample per non-empty mutate.
-            pending.arrivals.push(Instant::now());
-        }
+        let mut pending = self.lock_pending();
+        pending.push(edges);
         let depth = pending.batch.len();
         gep_obs::counter_add("serve.mutations", edges.len() as u64);
         self.wake.notify_one();
@@ -225,7 +351,13 @@ impl ApspCache {
 
     /// Pending (accepted, not yet picked up) mutation count.
     pub fn batch_depth(&self) -> usize {
-        self.pending.lock().unwrap().batch.len()
+        self.lock_pending().batch.len()
+    }
+
+    fn lock_pending(&self) -> std::sync::MutexGuard<'_, Pending> {
+        self.pending
+            .lock()
+            .expect("the solver thread panicked holding the mutation buffer")
     }
 
     /// Lifetime counters.
@@ -239,16 +371,11 @@ impl ApspCache {
     }
 
     /// Blocks until every mutation accepted before this call has been
-    /// folded into a published epoch. Test/experiment aid; the serving
-    /// path never calls it.
+    /// folded into a published epoch and its freshness samples recorded.
+    /// Test/experiment aid; the serving path never calls it.
     pub fn quiesce(&self) {
-        loop {
-            let drained = self.pending.lock().unwrap().batch.is_empty();
-            let in_flight =
-                self.started.load(Ordering::Acquire) > self.stats.lock().unwrap().resolves;
-            if drained && !in_flight {
-                return;
-            }
+        let accepted = self.lock_pending().accepted;
+        while self.stats().mutations_applied < accepted {
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
     }
@@ -257,7 +384,7 @@ impl ApspCache {
     /// accepted mutation is published before shutdown).
     pub fn stop(&self) {
         {
-            let mut pending = self.pending.lock().unwrap();
+            let mut pending = self.lock_pending();
             pending.stop = true;
             self.wake.notify_one();
         }
@@ -267,56 +394,119 @@ impl ApspCache {
     }
 
     fn solver_loop(&self) {
+        // Measured seconds per rank-1 relaxation; until the first one,
+        // a solve's per-pivot share.
+        let mut relax_s: Option<f64> = None;
         loop {
-            let (batch, arrivals, base, drained_at) = {
-                let mut pending = self.pending.lock().unwrap();
+            // Only this thread publishes, so `prev` stays current.
+            let prev = self.snapshot();
+            let n = prev.n;
+            let mut solve_s = prev.solve_s;
+            let per_relax = relax_s.unwrap_or(solve_s / n.max(1) as f64);
+            // Relaxations are worth it while they cost less than a solve.
+            let fits = |plan: Option<usize>, solve_s: f64| {
+                plan.is_some_and(|k| (k as f64) * per_relax < solve_s)
+            };
+            let mut drain = Drain::default();
+            let (edits, fresh) = {
+                let mut pending = self.lock_pending();
                 while pending.batch.is_empty() && !pending.stop {
                     pending = self.wake.wait(pending).unwrap();
                 }
-                if pending.batch.is_empty() && pending.stop {
+                if pending.batch.is_empty() {
                     return;
                 }
-                let batch = std::mem::take(&mut pending.batch);
-                let arrivals = std::mem::take(&mut pending.arrivals);
-                self.started.fetch_add(1, Ordering::AcqRel);
-                apply_mutations(&mut pending.base, &batch);
-                // Solve from a clone so the mutex is not held across the
-                // n³ solve (new mutations keep batching meanwhile).
-                (batch, arrivals, pending.base.clone(), Instant::now())
+                let edits = pending.edits();
+                let incremental = fits(plan(&prev.dist, &edits), solve_s);
+                pending.drain_into(&mut drain);
+                // A full solve starts from the new base; building its
+                // input here replaces a copy of the base.
+                (edits, (!incremental).then(|| padded(&pending.base)))
             };
-            let (dist, in_edges, solve_s) = solve(&base);
-            {
-                let mut current = self.current.write().unwrap();
-                let epoch = current.epoch + 1;
-                *current = Arc::new(Solved {
-                    epoch,
-                    n: base.n(),
-                    dist,
-                    in_edges,
-                    solve_s,
-                    solved_at: Instant::now(),
-                });
+            let mut relax_time = 0.0;
+            let mut relaxed = 0;
+            let mut relax = |d: &mut Matrix<i64>, edits: &[Edit]| {
+                let t = Instant::now();
+                relaxed += relax_all(d, n, edits);
+                relax_time += t.elapsed().as_secs_f64();
+            };
+            let full = fresh.is_some();
+            let mut dist = match fresh {
+                Some(mut c) => {
+                    solve_s = solve(&mut c);
+                    c
+                }
+                None => {
+                    // The one n×n copy of an incremental epoch.
+                    let mut d = prev.dist.clone();
+                    relax(&mut d, &edits);
+                    d
+                }
+            };
+            // Fold before publishing: mutations that arrived meanwhile
+            // and qualify join this epoch, so a long solve is not
+            // followed at once by an incremental epoch that replaces it
+            // before any reader could see it.
+            let (folded, in_edges) = {
+                let mut pending = self.lock_pending();
+                let edits = pending.edits();
+                let folded = (!pending.batch.is_empty() && fits(plan(&dist, &edits), solve_s))
+                    .then(|| {
+                        pending.drain_into(&mut drain);
+                        edits
+                    });
+                (folded, InEdges::from_matrix(&pending.base))
+            };
+            if let Some(edits) = folded {
+                relax(&mut dist, &edits);
             }
+            if relaxed > 0 {
+                relax_s = Some(relax_time / relaxed as f64);
+            }
+            let update_s = if full { solve_s } else { 0.0 } + relax_time;
+            let next = Solved {
+                epoch: prev.epoch + 1,
+                n,
+                dist,
+                in_edges,
+                solve_s,
+                update_s,
+                mutations_applied: prev.mutations_applied + drain.edges,
+                incremental: prev.incremental + u64::from(!full),
+                solved_at: Instant::now(),
+            };
+            drop(prev);
+            *self.current.write().unwrap() = Arc::new(next);
             // Freshness telemetry, measured at publish time: how long
             // each accepted mutate request waited in the buffer, how
-            // long the drain-to-publish (re-solve) took, and the total
+            // long the drain-to-publish update took, and the total
             // enqueue-to-visibility staleness. Recorded before the stats
             // bump so anything `quiesce()`-gated sees complete series.
             let published_at = Instant::now();
-            let elapsed = |from: Instant, to: Instant| {
-                to.duration_since(from).as_nanos().min(u64::MAX as u128) as u64
-            };
-            let queue_waits: Vec<u64> = arrivals.iter().map(|&a| elapsed(a, drained_at)).collect();
-            let staleness: Vec<u64> = arrivals.iter().map(|&a| elapsed(a, published_at)).collect();
-            self.metrics
-                .record_batch(&queue_waits, elapsed(drained_at, published_at), &staleness);
+            let staleness: Vec<u64> = drain
+                .arrivals
+                .iter()
+                .map(|&a| nanos(a, published_at))
+                .collect();
+            let started = drain.started.expect("a batch was drained");
+            self.metrics.record_batch(
+                &drain.queue_wait_ns,
+                nanos(started, published_at),
+                &staleness,
+                (!full).then_some((update_s * 1e9) as u64),
+            );
             {
                 let mut stats = self.stats.lock().unwrap();
                 stats.resolves += 1;
-                stats.mutations_applied += batch.len() as u64;
+                stats.mutations_applied += drain.edges;
+                stats.incremental += u64::from(!full);
             }
             gep_obs::counter_add("serve.resolves", 1);
-            gep_obs::gauge_set("serve.resolve_s", solve_s);
+            if full {
+                gep_obs::gauge_set("serve.resolve_s", solve_s);
+            } else {
+                gep_obs::counter_add("serve.incremental", 1);
+            }
         }
     }
 }
@@ -645,6 +835,212 @@ mod tests {
             "epoch gauge is published by the server ticker, not the cache"
         );
         assert!(rec.gauges.contains_key("serve.resolve_s"));
+    }
+
+    /// A fresh padded solve of `graph`: what every epoch's matrix must
+    /// equal bit for bit, padding included.
+    fn resolved(graph: &Matrix<i64>) -> Matrix<i64> {
+        let mut d = padded(graph);
+        solve(&mut d);
+        d
+    }
+
+    /// An edge on a shortest path (`w == d[a][b]`, finite) and one off
+    /// every shortest path (`w > d[a][b]`).
+    fn tight_and_slack_edges(graph: &Matrix<i64>, snap: &Solved) -> ((u32, u32), (u32, u32)) {
+        let n = graph.n();
+        let edges = (0..n).flat_map(|a| (0..n).map(move |b| (a, b)));
+        let finite = |&(a, b): &(usize, usize)| a != b && graph.get(a, b) < TROPICAL_INF_L;
+        let pick = |tight: bool| {
+            edges
+                .clone()
+                .filter(finite)
+                .find(|&(a, b)| (Some(graph.get(a, b)) == snap.dist(a, b)) == tight)
+                .map(|(a, b)| (a as u32, b as u32))
+                .expect("the random graph has both kinds")
+        };
+        (pick(true), pick(false))
+    }
+
+    #[test]
+    fn a_decrease_is_folded_in_without_a_solve() {
+        let mut graph = random_graph(24, 5);
+        let cache = ApspCache::new(graph.clone());
+        let first = cache.snapshot();
+        let (_, (a, b)) = tight_and_slack_edges(&graph, &first);
+        cache.mutate(&[(a, b, 0)]).unwrap();
+        cache.quiesce();
+        apply_mutations(&mut graph, &[(a, b, 0)]);
+        let snap = cache.snapshot();
+        assert_eq!(
+            (snap.epoch, snap.incremental, snap.mutations_applied),
+            (2, 1, 1)
+        );
+        assert_eq!(
+            snap.solve_s, first.solve_s,
+            "solve_s is the last full solve"
+        );
+        assert_eq!(snap.dist, resolved(&graph));
+        assert_eq!(snap.dist(a as usize, b as usize), Some(0));
+        check_against_dijkstra(&snap, &graph);
+        let stats = cache.stats();
+        assert_eq!((stats.resolves, stats.incremental), (1, 1));
+        let hists = cache.metrics().histograms();
+        assert_eq!(hists["serve.update_ns"].count(), 1);
+        cache.stop();
+    }
+
+    #[test]
+    fn a_tight_rise_falls_back_to_a_full_solve() {
+        let mut graph = random_graph(24, 6);
+        let cache = ApspCache::new(graph.clone());
+        for delete in [false, true] {
+            let ((a, b), _) = tight_and_slack_edges(&graph, &cache.snapshot());
+            let w = if delete {
+                TROPICAL_INF_L
+            } else {
+                graph.get(a as usize, b as usize) + 50
+            };
+            cache.mutate(&[(a, b, w)]).unwrap();
+            cache.quiesce();
+            apply_mutations(&mut graph, &[(a, b, w)]);
+            let snap = cache.snapshot();
+            assert_eq!(snap.incremental, 0, "rise of ({a},{b}) to {w} re-solved");
+            assert_eq!(snap.update_s, snap.solve_s);
+            assert_eq!(snap.dist, resolved(&graph));
+            check_against_dijkstra(&snap, &graph);
+        }
+        assert_eq!(cache.stats().resolves, 2);
+        assert!(!cache.metrics().histograms().contains_key("serve.update_ns"));
+        cache.stop();
+    }
+
+    /// Decreases, inserts, a no-op, a diagonal edge and rises or deletes
+    /// of slack edges, in one batch: all incremental, and the epoch equals
+    /// a re-solve.
+    #[test]
+    fn a_mixed_batch_without_tight_rises_is_incremental() {
+        let n = 20;
+        let mut graph = random_graph(n, 8);
+        let cache = ApspCache::new(graph.clone());
+        let snap = cache.snapshot();
+        let slack: Vec<(u32, u32)> = (0..n)
+            .flat_map(|a| (0..n).map(move |b| (a, b)))
+            .filter(|&(a, b)| a != b && Some(graph.get(a, b)) > snap.dist(a, b))
+            .map(|(a, b)| (a as u32, b as u32))
+            .take(3)
+            .collect();
+        let absent = (1..n)
+            .find(|&b| graph.get(0, b) >= TROPICAL_INF_L)
+            .expect("a missing out-edge of 0") as u32;
+        let (a, b) = slack[0];
+        let batch = vec![
+            (
+                slack[1].0,
+                slack[1].1,
+                graph.get(slack[1].0 as usize, slack[1].1 as usize) + 7,
+            ),
+            (slack[2].0, slack[2].1, TROPICAL_INF_L),
+            (a, b, snap.dist(a as usize, b as usize).unwrap()),
+            (0, absent, 3),
+            (4, 4, 9),
+            (0, absent, 3),
+        ];
+        cache.mutate(&batch).unwrap();
+        cache.quiesce();
+        apply_mutations(&mut graph, &batch);
+        let next = cache.snapshot();
+        assert_eq!(
+            (next.epoch, next.incremental, next.mutations_applied),
+            (2, 1, 6)
+        );
+        assert_eq!(next.dist, resolved(&graph));
+        check_against_dijkstra(&next, &graph);
+        cache.stop();
+    }
+
+    /// A decrease accepted while a full solve runs joins that solve's
+    /// epoch instead of replacing it half a millisecond later.
+    #[test]
+    fn mutations_arriving_during_a_solve_fold_into_its_epoch() {
+        let n = 400;
+        let mut graph = random_graph(n, 12);
+        let cache = ApspCache::new(graph.clone());
+        let ((a, b), (c, e)) = tight_and_slack_edges(&graph, &cache.snapshot());
+        let rise = [(a, b, TROPICAL_INF_L)];
+        cache.mutate(&rise).unwrap();
+        // Once the solver has taken the rise, hold the buffer: it cannot
+        // fold, and so cannot publish, before the decrease is in.
+        let decrease = [(c, e, 0)];
+        loop {
+            let mut pending = cache.lock_pending();
+            if pending.batch.is_empty() {
+                assert_eq!(cache.snapshot().epoch, 1, "the solve outran the test");
+                pending.push(&decrease);
+                break;
+            }
+        }
+        cache.quiesce();
+        apply_mutations(&mut graph, &rise);
+        apply_mutations(&mut graph, &decrease);
+        let snap = cache.snapshot();
+        assert_eq!(
+            (snap.epoch, snap.incremental, snap.mutations_applied),
+            (2, 0, 2)
+        );
+        assert!(
+            snap.update_s >= snap.solve_s,
+            "the fold's relaxation counts"
+        );
+        assert_eq!(snap.dist, resolved(&graph));
+        assert_eq!(
+            cache.metrics().histograms()["serve.mutation.staleness_ns"].count(),
+            2
+        );
+        for u in [0, c as usize, n - 1] {
+            for (v, &d) in dijkstra_reference(&graph, u).iter().enumerate() {
+                assert_eq!(snap.path(u, v).is_some(), d < TROPICAL_INF_L);
+            }
+        }
+        assert_eq!(
+            snap.path(c as usize, e as usize),
+            Some(vec![c as usize, e as usize])
+        );
+        cache.stop();
+    }
+
+    /// Every epoch of a stream of single-edge mutations, incremental or
+    /// not, answers dist and path from its own graph; a snapshot held
+    /// across later epochs keeps answering from its own.
+    #[test]
+    fn every_epoch_of_a_stream_answers_from_its_own_graph() {
+        let n = 16;
+        let mut graph = random_graph(n, 13);
+        let cache = ApspCache::new(graph.clone());
+        let mut held = Vec::new();
+        for (i, &edge) in random_mutations(n, 12, 31).iter().enumerate() {
+            let edge = if i % 3 == 0 {
+                (edge.0, edge.1, 0)
+            } else {
+                edge
+            };
+            cache.mutate(&[edge]).unwrap();
+            cache.quiesce();
+            apply_mutations(&mut graph, &[edge]);
+            let snap = cache.snapshot();
+            assert_eq!(snap.epoch, i as u64 + 2);
+            assert_eq!(snap.dist, resolved(&graph), "epoch {}", snap.epoch);
+            check_against_dijkstra(&snap, &graph);
+            held.push((snap, graph.clone()));
+        }
+        assert!(
+            cache.snapshot().incremental > 0,
+            "zero weights are decreases"
+        );
+        for (snap, graph) in &held {
+            check_against_dijkstra(snap, graph);
+        }
+        cache.stop();
     }
 
     const TROPICAL_INF_L: i64 = gep_core::algebra::TROPICAL_INF;

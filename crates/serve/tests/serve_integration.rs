@@ -525,3 +525,78 @@ fn slow_request_flight_events_attribute_phases_that_sum_to_total() {
     std::fs::remove_dir_all(&dir).ok();
     let _ = gep_obs::take();
 }
+
+/// `status` answers the epoch and its counts from one snapshot, so
+/// `resolves + 1 == epoch` in every answer; an incremental epoch carries
+/// the last full solve's `solve_s` forward and shows in the `metrics`
+/// exposition as `serve.incremental` and a `serve.update_ns` sample.
+#[test]
+fn status_counts_incremental_epochs_from_one_snapshot() {
+    let server = start_server(24, 17);
+    let addr = server.local_addr();
+    let status = || {
+        let r = loadgen::request_once(addr, &Request::Status).unwrap();
+        assert!(response_ok(&r), "{r:?}");
+        let int = |k: &str| r.get(k).and_then(Json::as_u64).unwrap();
+        let float = |k: &str| r.get(k).and_then(Json::as_f64).unwrap();
+        let counts = (int("epoch"), int("resolves"), int("incremental"));
+        assert_eq!(counts.0, counts.1 + 1, "{r:?}");
+        (
+            counts,
+            int("mutations_applied"),
+            float("solve_s"),
+            float("update_s"),
+        )
+    };
+    let (first, _, solve_s, update_s) = status();
+    assert_eq!((first, update_s), ((1, 0, 0), solve_s));
+
+    // Setting an edge to weight 0 can only shorten paths: one
+    // relaxation, no solve.
+    let snap = server.cache().snapshot();
+    let (u, v) = (0..24u32)
+        .flat_map(|u| (0..24u32).map(move |v| (u, v)))
+        .find(|&(u, v)| snap.dist(u as usize, v as usize) != Some(0))
+        .unwrap();
+    let resp = loadgen::request_once(
+        addr,
+        &Request::Mutate {
+            edges: vec![(u, v, 0)],
+        },
+    )
+    .unwrap();
+    assert!(response_ok(&resp));
+    server.cache().quiesce();
+    let (counts, applied, carried, update_s) = status();
+    assert_eq!((counts, applied, carried), ((2, 1, 1), 1, solve_s));
+    assert!(update_s < solve_s, "{update_s} vs {solve_s}");
+
+    // Raising it again: it is now the tight edge u -> v, so a re-solve.
+    let resp = loadgen::request_once(
+        addr,
+        &Request::Mutate {
+            edges: vec![(u, v, 1000)],
+        },
+    )
+    .unwrap();
+    assert!(response_ok(&resp));
+    server.cache().quiesce();
+    let ((epoch, _, incremental), applied, solve_s, update_s) = status();
+    assert_eq!((epoch, incremental, applied, update_s), (3, 1, 2, solve_s));
+
+    let doc = loadgen::scrape_metrics(addr).expect("metrics scrape");
+    let counter = |k: &str| {
+        doc.get("counters")
+            .and_then(|c| c.get(k))
+            .and_then(Json::as_u64)
+    };
+    assert_eq!(
+        (counter("serve.resolves"), counter("serve.incremental")),
+        (Some(2), Some(1))
+    );
+    assert_eq!(
+        gep_obs::exposition_hist_stat(&doc, "serve.update_ns", "count"),
+        Some(1)
+    );
+    server.shutdown();
+}

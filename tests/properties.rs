@@ -229,6 +229,63 @@ proptest! {
         }
     }
 
+    /// Rank-1 updates track a stream of edge changes exactly: after every
+    /// decrease or insert (one `relax_edge`) and every rise or delete of
+    /// an edge off all shortest paths (no change), the padded matrix
+    /// equals a fresh I-GEP solve bit for bit, padding included, and its
+    /// logical block equals the textbook oracle. Graphs have zero weights
+    /// and a vertex with no edges.
+    #[test]
+    fn rank1_updates_equal_a_fresh_solve(
+        n in 1usize..=24,
+        seed in any::<u64>(),
+        steps in 1usize..=40,
+    ) {
+        use gep::apps::floyd_warshall::{apsp, relax_edge};
+        let inf = <i64 as Weight>::INFINITY;
+        let side = n.next_power_of_two();
+        let mut s = seed | 1;
+        let mut next = move |m: u64| {
+            s ^= s << 13; s ^= s >> 7; s ^= s << 17;
+            s % m
+        };
+        let lonely = next(n as u64) as usize;
+        let mut graph = Matrix::from_fn(n, n, |i, j| match (i == j, i == lonely || j == lonely) {
+            (true, _) => 0,
+            (false, true) => inf,
+            (false, false) => [inf, inf, 0, 1 + next(40) as i64][next(4) as usize],
+        });
+        let fresh = |g: &Matrix<i64>| {
+            let mut d = Matrix::from_fn(side, side, |i, j| {
+                if i == j { 0 } else if i < n && j < n { g[(i, j)] } else { inf }
+            });
+            apsp(&mut d, 4);
+            d
+        };
+        let mut d = fresh(&graph);
+        for step in 0..steps {
+            let (a, b) = (next(n as u64) as usize, next(n as u64) as usize);
+            let old = graph[(a, b)];
+            if a == b {
+                continue;
+            }
+            if next(2) == 0 {
+                let w = next(old.min(41) as u64 + 1) as i64;
+                graph[(a, b)] = w;
+                relax_edge(&mut d, n, a, b, w);
+            } else if old > d[(a, b)] {
+                graph[(a, b)] = if next(3) == 0 { inf } else { old.min(100) + 1 + next(20) as i64 };
+            } else {
+                continue;
+            }
+            prop_assert_eq!(&d, &fresh(&graph), "step {}: ({}, {}) was {}", step, a, b, old);
+            let oracle = reference::fw_reference(&graph);
+            for i in 0..n {
+                prop_assert_eq!(&d.row(i)[..n], oracle.row(i));
+            }
+        }
+    }
+
     /// Simple-DP: the cache-oblivious solver equals the diagonal-order
     /// loop for random weights and base values.
     #[test]
