@@ -21,47 +21,30 @@
 //! both wrapped on large finite weights and let `INFINITY + negative`
 //! undercut the sentinel (a missing edge could "win" a relaxation). The
 //! algebra's `⊗` ([`MinPlusI64::mul`]) saturates and absorbs at
-//! [`TROPICAL_INF`](gep_core::algebra::TROPICAL_INF); [`Weight::wadd`]
-//! now delegates to it, so every caller inherits the fix.
+//! [`TROPICAL_INF`]; every caller here adds weights through it, so every
+//! caller inherits the fix.
 
 use crate::closure::SemiringSpec;
 use gep_core::algebra::{MinPlusF64, MinPlusI64, UpdateAlgebra, TROPICAL_INF};
 use gep_kernels::AlgebraKernels;
 use gep_matrix::Matrix;
 
-/// Scalar-to-algebra bridge for shortest-path weights: names the tropical
-/// algebra of an element type and re-exposes its sentinels under the
-/// historical names (`INFINITY` = tropical `ZERO`, `ZERO` = tropical
-/// `ONE`).
-///
-/// Reduced to a façade over [`UpdateAlgebra`]: the update logic and the
-/// backend kernel hook both live on [`Weight::Alg`] now.
-pub trait Weight: Copy + Send + Sync + PartialEq + PartialOrd + std::fmt::Debug + 'static {
+/// Names the tropical algebra of a shortest-path weight type, so that
+/// [`FwSpec<W>`] and [`apsp`] can be spelled by element type. The
+/// sentinels and `⊗` live on the algebra: "no edge" is
+/// `<W::Alg as UpdateAlgebra>::ZERO` ([`TROPICAL_INF`] for `i64`), the
+/// empty path is `ONE`, and path concatenation is [`UpdateAlgebra::mul`].
+pub trait Weight: Copy + PartialOrd {
     /// The tropical algebra this weight type instantiates.
     type Alg: AlgebraKernels<Elem = Self>;
-    /// "No edge" marker — the algebra's `⊕`-identity / `⊗`-annihilator.
-    const INFINITY: Self;
-    /// Path-length identity — the algebra's `⊗`-identity.
-    const ZERO: Self;
-    /// Tropical `⊗` (path concatenation). Delegates to the algebra, which
-    /// makes it absorbing at `INFINITY` and overflow-safe.
-    #[inline(always)]
-    fn wadd(self, other: Self) -> Self {
-        <Self::Alg as UpdateAlgebra>::mul(self, other)
-    }
 }
 
 impl Weight for i64 {
     type Alg = MinPlusI64;
-    /// The shared sentinel [`TROPICAL_INF`](gep_core::algebra::TROPICAL_INF).
-    const INFINITY: i64 = TROPICAL_INF;
-    const ZERO: i64 = 0;
 }
 
 impl Weight for f64 {
     type Alg = MinPlusF64;
-    const INFINITY: f64 = f64::INFINITY;
-    const ZERO: f64 = 0.0;
 }
 
 /// Distance-only Floyd–Warshall spec: the algebraic closure over the
@@ -98,7 +81,7 @@ impl gep_core::GepSpec for FwPredSpec {
         v: (i64, u32),
         _w: (i64, u32),
     ) -> (i64, u32) {
-        let cand = u.0.wadd(v.0);
+        let cand = MinPlusI64::mul(u.0, v.0);
         if cand < x.0 {
             (cand, v.1)
         } else {
@@ -120,10 +103,10 @@ impl gep_core::GepSpec for FwPredSpec {
 /// Builds the initial distance matrix from an edge list
 /// (`n` vertices, directed edges `(from, to, weight)`).
 ///
-/// `d[i][i] = 0`, absent edges are [`Weight::INFINITY`]; parallel edges
-/// keep the minimum weight.
+/// `d[i][i] = 0` (the algebra's `ONE`), absent edges are its `ZERO`
+/// (∞); parallel edges keep the minimum weight.
 pub fn distance_matrix<W: Weight>(n: usize, edges: &[(usize, usize, W)]) -> Matrix<W> {
-    let mut m = Matrix::from_fn(n, n, |i, j| if i == j { W::ZERO } else { W::INFINITY });
+    let mut m = Matrix::from_fn(n, n, |i, j| if i == j { W::Alg::ONE } else { W::Alg::ZERO });
     for &(a, b, w) in edges {
         if w < m[(a, b)] {
             m[(a, b)] = w;
@@ -203,9 +186,9 @@ pub fn tight_path(row: &[i64], in_edges: &InEdges, src: usize, dst: usize) -> Op
     let mut walk = vec![(dst, 0usize)];
     while let Some(&(cur, from)) = walk.last() {
         let edges = &in_edges.of(cur)[from..];
-        let next = edges
-            .iter()
-            .position(|&(k, w)| !seen[k as usize] && row[k as usize].wadd(w) == row[cur]);
+        let next = edges.iter().position(|&(k, w)| {
+            !seen[k as usize] && MinPlusI64::mul(row[k as usize], w) == row[cur]
+        });
         let Some(at) = next else {
             walk.pop();
             continue;
@@ -250,7 +233,7 @@ pub fn relax_edge(d: &mut Matrix<i64>, n: usize, a: usize, b: usize, w: i64) -> 
     }
     let via = d.row(b)[..n].to_vec();
     for i in 0..n {
-        let t = d[(i, a)].wadd(w);
+        let t = MinPlusI64::mul(d[(i, a)], w);
         if t >= TROPICAL_INF {
             continue;
         }
@@ -268,7 +251,7 @@ pub fn relax_edge(d: &mut Matrix<i64>, n: usize, a: usize, b: usize, w: i64) -> 
 ///
 /// # Panics
 /// Panics unless `dist` is square with a power-of-two side (pad with
-/// [`Weight::INFINITY`] via [`Matrix::padded`] first if needed).
+/// [`TROPICAL_INF`] via [`Matrix::padded`] first if needed).
 pub fn apsp<W: Weight>(dist: &mut Matrix<W>, base_size: usize) {
     gep_core::igep_opt(&FwSpec::<W>::new(), dist, base_size);
 }
@@ -291,7 +274,7 @@ mod tests {
             if i == j {
                 0
             } else if rng() % 3 == 0 {
-                <i64 as Weight>::INFINITY
+                TROPICAL_INF
             } else {
                 (rng() % 50) as i64 + 1
             }
@@ -336,7 +319,7 @@ mod tests {
     /// weights wrapped `i64`. Neither may happen now.
     #[test]
     fn missing_edges_and_near_sentinel_weights_do_not_undercut_infinity() {
-        let inf = <i64 as Weight>::INFINITY;
+        let inf = TROPICAL_INF;
         // Vertex 1 has *no* outgoing edges; 2 → 1 is a negative edge.
         // Old bug: d[0][1] = d[0][2] + d[2][1] with d[0][2] = INF gave
         // INF − 5 < INF. Correct: 0 cannot reach 1.
@@ -371,14 +354,15 @@ mod tests {
         assert_eq!(d, fw_reference(&init));
     }
 
+    /// The tropical `⊗` every weight addition here goes through.
     #[test]
     fn wadd_is_absorbing_and_saturating() {
-        let inf = <i64 as Weight>::INFINITY;
-        assert_eq!(inf.wadd(-100), inf);
-        assert_eq!((-100).wadd(inf), inf);
-        assert_eq!((inf - 1).wadd(inf - 1), inf);
-        assert_eq!(5i64.wadd(7), 12);
-        assert_eq!(f64::INFINITY.wadd(-100.0), f64::INFINITY);
+        let inf = TROPICAL_INF;
+        assert_eq!(MinPlusI64::mul(inf, -100), inf);
+        assert_eq!(MinPlusI64::mul(-100, inf), inf);
+        assert_eq!(MinPlusI64::mul(inf - 1, inf - 1), inf);
+        assert_eq!(MinPlusI64::mul(5, 7), 12);
+        assert_eq!(MinPlusF64::mul(f64::INFINITY, -100.0), f64::INFINITY);
     }
 
     #[test]
@@ -421,7 +405,7 @@ mod tests {
         for hop in path.windows(2) {
             let w = graph[(hop[0], hop[1])];
             assert!(
-                hop[0] != hop[1] && w < <i64 as Weight>::INFINITY,
+                hop[0] != hop[1] && w < TROPICAL_INF,
                 "path {path:?} uses a missing edge {}->{}",
                 hop[0],
                 hop[1]
@@ -501,7 +485,7 @@ mod tests {
         let n = d.n();
         Matrix::from_fn(n, n, |i, j| {
             let w = d[(i, j)];
-            if i != j && w < <i64 as Weight>::INFINITY {
+            if i != j && w < TROPICAL_INF {
                 (w, i as u32)
             } else if i == j {
                 (0, u32::MAX)
@@ -532,8 +516,7 @@ mod tests {
                             check_walk(&init_d, &path, src, dst, oracle[dst]);
                         }
                         None => assert_eq!(
-                            oracle[dst],
-                            <i64 as Weight>::INFINITY,
+                            oracle[dst], TROPICAL_INF,
                             "no path returned but oracle reaches {src}->{dst}"
                         ),
                     }
@@ -549,7 +532,7 @@ mod tests {
     fn pred_spec_differential_vs_bfs_oracle_on_unit_graphs() {
         fn bfs_hops(adj: &Matrix<i64>, src: usize) -> Vec<i64> {
             let n = adj.n();
-            let inf = <i64 as Weight>::INFINITY;
+            let inf = TROPICAL_INF;
             let mut hops = vec![inf; n];
             hops[src] = 0;
             let mut queue = std::collections::VecDeque::from([src]);
@@ -578,7 +561,7 @@ mod tests {
                 } else if rng() % 4 == 0 {
                     1
                 } else {
-                    <i64 as Weight>::INFINITY
+                    TROPICAL_INF
                 }
             });
             let mut p = pred_init(&init_d);
@@ -686,7 +669,7 @@ mod tests {
     fn distance_matrix_takes_min_of_parallel_edges() {
         let m = distance_matrix::<i64>(2, &[(0, 1, 9), (0, 1, 4), (0, 1, 6)]);
         assert_eq!(m[(0, 1)], 4);
-        assert_eq!(m[(1, 0)], <i64 as Weight>::INFINITY);
+        assert_eq!(m[(1, 0)], TROPICAL_INF);
         assert_eq!(m[(0, 0)], 0);
     }
 }

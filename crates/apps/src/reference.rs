@@ -5,7 +5,7 @@
 //! engine and an oracle is meaningful evidence of correctness.
 
 use crate::floyd_warshall::Weight;
-use gep_core::algebra::Gf2Block;
+use gep_core::algebra::{Gf2Block, UpdateAlgebra, TROPICAL_INF};
 use gep_matrix::Matrix;
 
 /// Classic triple-loop Floyd–Warshall on a distance matrix.
@@ -15,7 +15,7 @@ pub fn fw_reference<W: Weight>(dist: &Matrix<W>) -> Matrix<W> {
     for k in 0..n {
         for i in 0..n {
             for j in 0..n {
-                let cand = d[(i, k)].wadd(d[(k, j)]);
+                let cand = W::Alg::mul(d[(i, k)], d[(k, j)]);
                 if cand < d[(i, j)] {
                     d[(i, j)] = cand;
                 }
@@ -286,7 +286,7 @@ pub fn gfp_elim_reference(a: &Matrix<u64>, p: u64) -> Matrix<u64> {
 /// oracle when run from every source.
 pub fn dijkstra_reference(dist: &Matrix<i64>, src: usize) -> Vec<i64> {
     let n = dist.n();
-    let inf = <i64 as Weight>::INFINITY;
+    let inf = TROPICAL_INF;
     let mut d = vec![inf; n];
     let mut done = vec![false; n];
     d[src] = 0;
@@ -324,7 +324,7 @@ mod tests {
                 s ^= s >> 7;
                 s ^= s << 17;
                 if s % 3 == 0 {
-                    <i64 as Weight>::INFINITY
+                    TROPICAL_INF
                 } else {
                     (s % 20) as i64 + 1
                 }

@@ -872,6 +872,21 @@ fn parse_seed(s: &str) -> Option<u64> {
     }
 }
 
+/// The subcommand `args[0]`'s trial count: `args[1]`, or `default` when
+/// absent. Anything else exits 2, naming the subcommand and the argument.
+fn trial_count(args: &[String], default: u64) -> u64 {
+    match args.get(1) {
+        None => default,
+        Some(s) => s.parse().unwrap_or_else(|_| {
+            eprintln!(
+                "{}: trial count '{s}' is not a non-negative integer",
+                args[0]
+            );
+            std::process::exit(2);
+        }),
+    }
+}
+
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let engine_kernels = if let Some(pos) = args.iter().position(|a| a == "--engine-kernels") {
@@ -899,56 +914,11 @@ fn main() {
             demo();
             true
         }
-        "fuzz" => {
-            let trials = match args.get(1) {
-                None => 2000u64,
-                Some(s) => s.parse().unwrap_or_else(|_| {
-                    eprintln!("fuzz: trial count '{s}' is not a non-negative integer");
-                    std::process::exit(2);
-                }),
-            };
-            fuzz(trials, seed, engine_kernels)
-        }
-        "kernels" => {
-            let trials = match args.get(1) {
-                None => 200u64,
-                Some(s) => s.parse().unwrap_or_else(|_| {
-                    eprintln!("kernels: trial count '{s}' is not a non-negative integer");
-                    std::process::exit(2);
-                }),
-            };
-            kernels_fuzz(trials, seed)
-        }
-        "algebras" => {
-            let trials = match args.get(1) {
-                None => 50u64,
-                Some(s) => s.parse().unwrap_or_else(|_| {
-                    eprintln!("algebras: trial count '{s}' is not a non-negative integer");
-                    std::process::exit(2);
-                }),
-            };
-            algebras_fuzz(trials, seed)
-        }
-        "crash" => {
-            let trials = match args.get(1) {
-                None => 200u64,
-                Some(s) => s.parse().unwrap_or_else(|_| {
-                    eprintln!("crash: trial count '{s}' is not a non-negative integer");
-                    std::process::exit(2);
-                }),
-            };
-            crash_fuzz(trials, seed)
-        }
-        "incremental" => {
-            let trials = match args.get(1) {
-                None => 200u64,
-                Some(s) => s.parse().unwrap_or_else(|_| {
-                    eprintln!("incremental: trial count '{s}' is not a non-negative integer");
-                    std::process::exit(2);
-                }),
-            };
-            incremental_fuzz(trials, seed)
-        }
+        "fuzz" => fuzz(trial_count(&args, 2000), seed, engine_kernels),
+        "kernels" => kernels_fuzz(trial_count(&args, 200), seed),
+        "algebras" => algebras_fuzz(trial_count(&args, 50), seed),
+        "crash" => crash_fuzz(trial_count(&args, 200), seed),
+        "incremental" => incremental_fuzz(trial_count(&args, 200), seed),
         "all" => {
             let a = regression();
             println!();

@@ -17,9 +17,8 @@
 //! `t` uses `mix(master + CRASH_AXIS_OFFSET + t)`; a failure prints the
 //! seed and `diffcheck crash --seed <u64>` reruns that instance alone.
 
-use gep::apps::floyd_warshall::Weight;
 use gep::apps::{FwSpec, GaussianSpec};
-use gep::core::GepSpec;
+use gep::core::{GepSpec, TROPICAL_INF};
 use gep::matrix::Matrix;
 use gep_extmem::{
     fault_clock, run_checkpointed, run_to_crash, CkptConfig, CkptStats, CkptStore, DiskProfile,
@@ -214,7 +213,7 @@ fn fw_input(n: usize, rng: &mut Rng) -> Matrix<i64> {
         if i == j {
             0
         } else if rng.below(5) == 0 {
-            <i64 as Weight>::INFINITY
+            TROPICAL_INF
         } else {
             rng.below(30) as i64 + 1
         }

@@ -14,9 +14,10 @@ use crate::util::print_table;
 use crate::workloads::random_dist_matrix;
 use gep_apps::floyd_warshall::FwSpec;
 use gep_cachesim::{CacheModel, IdealCache};
-use gep_core::{igep_box, CellStore};
+use gep_core::{igep_box, walk_leaves, CellStore, Cube};
 use gep_matrix::Matrix;
 use std::cell::RefCell;
+use std::ops::ControlFlow;
 use std::rc::Rc;
 
 /// A tracked store whose accesses go to the *currently active* private
@@ -63,49 +64,18 @@ pub fn distributed_run(n: usize, p: usize, m_bytes: u64, b_bytes: u64) -> (u64, 
         caches: caches.clone(),
         active: active.clone(),
     };
-    let sub = n / rp;
-    let mut next = 0usize;
-    // Drive the recursion down to side `sub`, pinning each subproblem to a
+    // Walk F's recursion down to side n/√p, pinning each subproblem to a
     // processor (round-robin — the lemma only needs *some* deterministic
     // assignment executing each subproblem on one processor).
-    drive(&spec, &mut store, 0, 0, 0, n, sub, &mut |_i, _j, _k| {
+    let mut next = 0usize;
+    walk_leaves(&spec, Cube::root(n), n / rp, &mut |b| {
         active.set(next % p);
         next += 1;
+        igep_box(&spec, &mut store, b.i0, b.j0, b.k0, b.s, 1);
+        ControlFlow::Continue(())
     });
     let total = caches.borrow().iter().map(|c| c.stats().misses).sum();
     (total, store.data)
-}
-
-/// Replicates F's recursion above the `sub` granularity and calls
-/// `igep_box` at the leaves after invoking `assign`.
-#[allow(clippy::too_many_arguments)]
-fn drive<S, St>(
-    spec: &S,
-    c: &mut St,
-    i0: usize,
-    j0: usize,
-    k0: usize,
-    s: usize,
-    sub: usize,
-    assign: &mut impl FnMut(usize, usize, usize),
-) where
-    S: gep_core::GepSpec,
-    St: CellStore<S::Elem>,
-{
-    if s <= sub {
-        assign(i0, j0, k0);
-        igep_box(spec, c, i0, j0, k0, s, 1);
-        return;
-    }
-    let h = s / 2;
-    drive(spec, c, i0, j0, k0, h, sub, assign);
-    drive(spec, c, i0, j0 + h, k0, h, sub, assign);
-    drive(spec, c, i0 + h, j0, k0, h, sub, assign);
-    drive(spec, c, i0 + h, j0 + h, k0, h, sub, assign);
-    drive(spec, c, i0 + h, j0 + h, k0 + h, h, sub, assign);
-    drive(spec, c, i0 + h, j0, k0 + h, h, sub, assign);
-    drive(spec, c, i0, j0 + h, k0 + h, h, sub, assign);
-    drive(spec, c, i0, j0, k0 + h, h, sub, assign);
 }
 
 /// The Lemma 3.1(b) report: measured `Q_p` vs the analytic bound for a

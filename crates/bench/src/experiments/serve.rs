@@ -27,7 +27,7 @@
 use std::collections::BTreeMap;
 
 use gep_apps::reference::fw_reference;
-use gep_apps::Weight;
+use gep_core::TROPICAL_INF;
 use gep_obs::Histogram;
 use gep_serve::graph::{apply_mutations, random_graph, random_mutations};
 use gep_serve::loadgen::{self, LoadgenConfig, Mix, Pacing, RunLength};
@@ -119,7 +119,7 @@ pub fn serve(quick: bool) -> ServeOutcome {
     let mut mutated = base;
     apply_mutations(&mut mutated, &muts);
     let oracle = fw_reference(&mutated);
-    let inf = <i64 as Weight>::INFINITY;
+    let inf = TROPICAL_INF;
     let oracle_match =
         (0..n).all(|u| (0..n).all(|v| snap.dist(u, v).unwrap_or(inf) == oracle.get(u, v).min(inf)));
 

@@ -75,7 +75,14 @@ pub fn flatten_doc(doc: &Json) -> Vec<(String, Json)> {
         if let Some(Json::Obj(fields)) = doc.get(section) {
             for (k, v) in fields {
                 if v.as_gauge().is_some() {
-                    out.push((format!("{experiment}.{k}"), v.clone()));
+                    // `serve.connections` in BENCH_serve stays as is, not
+                    // `serve.serve.connections`.
+                    let key = if k.starts_with(&format!("{experiment}.")) {
+                        k.clone()
+                    } else {
+                        format!("{experiment}.{k}")
+                    };
+                    out.push((key, v.clone()));
                 }
             }
         }
@@ -299,6 +306,17 @@ mod tests {
         assert!(keys.contains(&"fig8.fit.c"), "{keys:?}");
         // Identity fields are in the key, not duplicated as metrics.
         assert!(!keys.iter().any(|k| k.ends_with(".n")), "{keys:?}");
+    }
+
+    #[test]
+    fn counter_keys_are_prefixed_once() {
+        let mut d = BenchDoc::new("serve", "t", true);
+        d.counter("serve.connections", 3);
+        d.counter("kernels.fallback", 0);
+        let pairs = flatten_doc(&d.to_json());
+        let mut keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
+        keys.sort();
+        assert_eq!(keys, ["serve.connections", "serve.kernels.fallback"]);
     }
 
     #[test]

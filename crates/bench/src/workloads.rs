@@ -1,6 +1,6 @@
 //! Deterministic workload generators shared by the harness and benches.
 
-use gep_apps::floyd_warshall::Weight;
+use gep_core::TROPICAL_INF;
 use gep_matrix::Matrix;
 
 /// xorshift64 — deterministic, seedable, dependency-free.
@@ -32,7 +32,7 @@ pub fn random_dist_matrix(n: usize, seed: u64) -> Matrix<i64> {
         if i == j {
             0
         } else if rng.next_u64() % 3 == 0 {
-            <i64 as Weight>::INFINITY
+            TROPICAL_INF
         } else {
             (rng.next_u64() % 100) as i64 + 1
         }

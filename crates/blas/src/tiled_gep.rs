@@ -80,9 +80,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gep_apps::floyd_warshall::{FwSpec, Weight};
+    use gep_apps::floyd_warshall::FwSpec;
     use gep_apps::{GaussianSpec, TransitiveClosureSpec};
     use gep_core::gep_iterative;
+    use gep_core::TROPICAL_INF;
 
     fn fw_input(n: usize, seed: u64) -> Matrix<i64> {
         let mut s = seed | 1;
@@ -94,7 +95,7 @@ mod tests {
                 s ^= s >> 7;
                 s ^= s << 17;
                 if s % 4 == 0 {
-                    <i64 as Weight>::INFINITY
+                    TROPICAL_INF
                 } else {
                     (s % 40) as i64 + 1
                 }

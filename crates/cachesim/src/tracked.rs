@@ -112,8 +112,8 @@ impl<T: Copy, C: CacheModel, L: Layout> CellStore<T> for TrackedMatrix<T, C, L> 
 mod tests {
     use super::*;
     use crate::IdealCache;
-    use gep_apps::floyd_warshall::{FwSpec, Weight};
-    use gep_core::{gep_iterative, igep};
+    use gep_apps::floyd_warshall::FwSpec;
+    use gep_core::{gep_iterative, igep, TROPICAL_INF};
 
     fn fw_input(n: usize, seed: u64) -> Matrix<i64> {
         let mut s = seed;
@@ -125,7 +125,7 @@ mod tests {
                 s ^= s >> 7;
                 s ^= s << 17;
                 if s % 5 == 0 {
-                    <i64 as Weight>::INFINITY
+                    TROPICAL_INF
                 } else {
                     (s % 30) as i64 + 1
                 }

@@ -10,13 +10,17 @@
 //! Θ(n³/(B√M)) I/Os on a tall cache.
 //!
 //! This module's engine is generic over [`CellStore`], which is what the
-//! cache-simulator and out-of-core experiments run. The raw-speed in-core
+//! cache-simulator and out-of-core experiments run. Its recursion is the
+//! shared leaf schedule of [`crate::walk`]. The raw-speed in-core
 //! variant (with the Figure 6 A/B/C/D specialisation) lives in
 //! [`crate::abcd`].
 
-use crate::iterative::gep_iterative_box;
+use crate::iterative::{gep_iterative_box, sigma_count_box};
 use crate::spec::GepSpec;
 use crate::store::CellStore;
+use crate::walk::{walk_leaves, Cube};
+use std::ops::ControlFlow;
+use std::time::Instant;
 
 /// Runs I-GEP (Figure 2) on `c`.
 ///
@@ -45,87 +49,52 @@ where
     St: CellStore<S::Elem> + ?Sized,
 {
     let n = c.n();
-    if n == 0 {
-        return; // Σ ⊆ [0,0)³ is empty — match gep_iterative's no-op.
-    }
-    assert!(n.is_power_of_two(), "I-GEP needs a power-of-two side");
-    assert!(base_size >= 1);
-    f_rec(spec, c, 0, 0, 0, n, base_size);
+    igep_box(spec, c, 0, 0, 0, n, base_size);
 }
 
 /// The recursive `F` on an explicit box: rows `i0..i0+s`,
 /// cols `j0..j0+s`, update indices `k0..k0+s` (`s` a power of two).
 ///
-/// Exposed so schedulers can drive the top levels of the recursion
-/// themselves — e.g. the Lemma 3.1(b) deterministic schedule, which pins
-/// each `(n/√p)`-sized subproblem to one processor's private cache.
+/// Runs the iterative kernel on each leaf of the [`walk_leaves`] schedule
+/// and counts the non-pruned calls of `F` into `igep.calls`.
 ///
 /// # Panics
-/// Panics (in debug) on out-of-range boxes; the caller must pass boxes
-/// aligned the way `F` would produce them for the results to mean
-/// anything.
+/// Panics unless `s` is zero or a power of two, and `base >= 1`; the
+/// caller must pass boxes aligned the way `F` would produce them for the
+/// results to mean anything.
 pub fn igep_box<S, St>(spec: &S, c: &mut St, i0: usize, j0: usize, k0: usize, s: usize, base: usize)
 where
     S: GepSpec,
     St: CellStore<S::Elem> + ?Sized,
 {
-    f_rec(spec, c, i0, j0, k0, s, base)
+    let root = Cube { i0, j0, k0, s };
+    let calls = walk_leaves(spec, root, base, &mut |leaf| {
+        run_leaf(spec, c, leaf);
+        ControlFlow::Continue(())
+    });
+    gep_obs::counter_add("igep.calls", calls);
 }
 
-/// The recursive `F`: operates on the box with rows `i0..i0+s`,
-/// cols `j0..j0+s`, update indices `k0..k0+s`.
-fn f_rec<S, St>(spec: &S, c: &mut St, i0: usize, j0: usize, k0: usize, s: usize, base: usize)
+/// One leaf of `F` (Figure 2, line 2 generalised to a box): the iterative
+/// kernel on the box, for `s = 1` exactly the paper's base case. Shared
+/// by [`igep`] and [`crate::igep_resumable`]; with a recorder installed
+/// it counts `igep.base_cases` and `igep.updates` and times the kernel
+/// into `kernel.leaf_ns`.
+pub(crate) fn run_leaf<S, St>(spec: &S, c: &mut St, leaf: Cube)
 where
     S: GepSpec,
     St: CellStore<S::Elem> + ?Sized,
 {
-    // Line 1: if T ∩ Σ = ∅ then return.
-    if !spec.sigma_intersects((i0, i0 + s - 1), (j0, j0 + s - 1), (k0, k0 + s - 1)) {
+    let (i, j, k) = leaf.ranges();
+    if !gep_obs::enabled() {
+        gep_iterative_box(spec, c, i, j, k);
         return;
     }
-    gep_obs::counter_add("igep.calls", 1);
-    let _span = gep_obs::span("F", "igep")
-        .arg("i0", i0 as i64)
-        .arg("j0", j0 as i64)
-        .arg("k0", k0 as i64)
-        .arg("s", s as i64);
-    if s <= base {
-        // Line 2 generalised: iterative kernel on the box (for s = 1 this
-        // is exactly the paper's base case).
-        if gep_obs::enabled() {
-            gep_obs::counter_add("igep.base_cases", 1);
-            gep_obs::counter_add(
-                "igep.updates",
-                crate::iterative::sigma_count_box(
-                    spec,
-                    (i0, i0 + s - 1),
-                    (j0, j0 + s - 1),
-                    (k0, k0 + s - 1),
-                ),
-            );
-        }
-        gep_iterative_box(
-            spec,
-            c,
-            (i0, i0 + s - 1),
-            (j0, j0 + s - 1),
-            (k0, k0 + s - 1),
-        );
-        return;
-    }
-    let h = s / 2;
-    // Line 5 — forward pass, k in the first half:
-    // F(X11), F(X12), F(X21), F(X22).
-    f_rec(spec, c, i0, j0, k0, h, base);
-    f_rec(spec, c, i0, j0 + h, k0, h, base);
-    f_rec(spec, c, i0 + h, j0, k0, h, base);
-    f_rec(spec, c, i0 + h, j0 + h, k0, h, base);
-    // Line 6 — backward pass, k in the second half:
-    // F(X22), F(X21), F(X12), F(X11).
-    f_rec(spec, c, i0 + h, j0 + h, k0 + h, h, base);
-    f_rec(spec, c, i0 + h, j0, k0 + h, h, base);
-    f_rec(spec, c, i0, j0 + h, k0 + h, h, base);
-    f_rec(spec, c, i0, j0, k0 + h, h, base);
+    gep_obs::counter_add("igep.base_cases", 1);
+    gep_obs::counter_add("igep.updates", sigma_count_box(spec, i, j, k));
+    let start = Instant::now();
+    gep_iterative_box(spec, c, i, j, k);
+    gep_obs::hist_record("kernel.leaf_ns", start.elapsed().as_nanos() as u64);
 }
 
 #[cfg(test)]

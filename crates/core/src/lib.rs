@@ -68,6 +68,7 @@ pub mod store;
 pub mod theory;
 pub mod trace;
 pub mod verify;
+pub mod walk;
 
 pub use abcd::igep_opt;
 pub use algebra::{
@@ -85,3 +86,4 @@ pub use resume::{igep_resumable, igep_step_count, ResumeOutcome, StepControl};
 pub use spec::{BoxShape, ClosureSpec, ExplicitSet, GepSpec, SumSpec};
 pub use store::CellStore;
 pub use verify::{diff_engine, diff_engines, DiffReport, Divergence, Engine, TraceSpec};
+pub use walk::{walk_leaves, Cube};

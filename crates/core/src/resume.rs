@@ -16,14 +16,21 @@
 //! `start_step = k` over the restored matrix. No redo log is needed —
 //! determinism *is* the redo log.
 //!
-//! The step numbering counts only non-pruned base cases (boxes with
-//! `T ∩ Σ = ∅` execute nothing and are skipped by both the original and
-//! the resumed walk, so they cannot desynchronise the cursor).
+//! The leaf schedule *is* [`crate::walk::walk_leaves`]: [`igep`],
+//! [`igep_resumable`] and [`igep_step_count`] all visit its leaves, and
+//! the first two run them through one shared leaf body, so a cursor
+//! counts the same leaves in all three. The step numbering counts only
+//! non-pruned base cases (boxes with `T ∩ Σ = ∅` execute nothing and are
+//! skipped by the walker itself, so they cannot desynchronise the
+//! cursor).
+//!
+//! [`igep`]: crate::igep::igep
 
+use crate::igep::run_leaf;
 use crate::spec::GepSpec;
 use crate::store::CellStore;
-
-use crate::iterative::gep_iterative_box;
+use crate::walk::{walk_leaves, Cube};
+use std::ops::ControlFlow;
 
 /// What the per-step hook tells the resumable engine to do next.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -57,7 +64,7 @@ pub struct ResumeOutcome {
 /// (floating point included — resumption changes no rounding).
 ///
 /// `c` must hold the matrix state of the moment step `start_step`
-/// completed; the engine descends the recursion without touching cells
+/// completed; the engine walks the schedule without touching cells
 /// until the cursor catches up.
 ///
 /// # Panics
@@ -75,19 +82,25 @@ where
     St: CellStore<S::Elem> + ?Sized,
 {
     let n = c.n();
-    let mut walk = Walk {
+    let mut out = ResumeOutcome {
         cursor: 0,
         executed: 0,
-        start: start_step,
-        stopped: false,
+        completed: true,
     };
-    if n == 0 {
-        return walk.outcome();
-    }
-    assert!(n.is_power_of_two(), "I-GEP needs a power-of-two side");
-    assert!(base_size >= 1);
-    f_res(spec, c, 0, 0, 0, n, base_size, &mut walk, on_step);
-    walk.outcome()
+    walk_leaves(spec, Cube::root(n), base_size, &mut |leaf| {
+        out.cursor += 1;
+        if out.cursor <= start_step {
+            return ControlFlow::Continue(()); // already done before the restart point
+        }
+        run_leaf(spec, c, leaf);
+        out.executed += 1;
+        if on_step(out.cursor) == StepControl::Stop {
+            out.completed = false;
+            return ControlFlow::Break(());
+        }
+        ControlFlow::Continue(())
+    });
+    out
 }
 
 /// Number of base-case steps the full schedule contains for `(Σ, n,
@@ -96,118 +109,12 @@ where
 /// # Panics
 /// Panics unless `n` is zero or a power of two, and `base_size >= 1`.
 pub fn igep_step_count<S: GepSpec>(spec: &S, n: usize, base_size: usize) -> u64 {
-    if n == 0 {
-        return 0;
-    }
-    assert!(n.is_power_of_two(), "I-GEP needs a power-of-two side");
-    assert!(base_size >= 1);
-    count_rec(spec, 0, 0, 0, n, base_size)
-}
-
-fn count_rec<S: GepSpec>(spec: &S, i0: usize, j0: usize, k0: usize, s: usize, base: usize) -> u64 {
-    if !spec.sigma_intersects((i0, i0 + s - 1), (j0, j0 + s - 1), (k0, k0 + s - 1)) {
-        return 0;
-    }
-    if s <= base {
-        return 1;
-    }
-    let h = s / 2;
-    let mut total = 0;
-    for (di, dj, dk) in OCTANTS {
-        total += count_rec(spec, i0 + di * h, j0 + dj * h, k0 + dk * h, h, base);
-    }
-    total
-}
-
-/// The eight recursive calls of `F` in execution order: forward pass over
-/// the four quadrants with the first k-half, then the backward pass in
-/// reverse quadrant order with the second half (Figure 2, lines 5–6).
-const OCTANTS: [(usize, usize, usize); 8] = [
-    (0, 0, 0),
-    (0, 1, 0),
-    (1, 0, 0),
-    (1, 1, 0),
-    (1, 1, 1),
-    (1, 0, 1),
-    (0, 1, 1),
-    (0, 0, 1),
-];
-
-struct Walk {
-    cursor: u64,
-    executed: u64,
-    start: u64,
-    stopped: bool,
-}
-
-impl Walk {
-    fn outcome(&self) -> ResumeOutcome {
-        ResumeOutcome {
-            cursor: self.cursor,
-            executed: self.executed,
-            completed: !self.stopped,
-        }
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn f_res<S, St>(
-    spec: &S,
-    c: &mut St,
-    i0: usize,
-    j0: usize,
-    k0: usize,
-    s: usize,
-    base: usize,
-    walk: &mut Walk,
-    on_step: &mut dyn FnMut(u64) -> StepControl,
-) where
-    S: GepSpec,
-    St: CellStore<S::Elem> + ?Sized,
-{
-    if walk.stopped || !spec.sigma_intersects((i0, i0 + s - 1), (j0, j0 + s - 1), (k0, k0 + s - 1))
-    {
-        return;
-    }
-    if s <= base {
-        walk.cursor += 1;
-        if walk.cursor <= walk.start {
-            return; // already done before the restart point
-        }
-        let timing = gep_obs::enabled().then(std::time::Instant::now);
-        gep_iterative_box(
-            spec,
-            c,
-            (i0, i0 + s - 1),
-            (j0, j0 + s - 1),
-            (k0, k0 + s - 1),
-        );
-        if let Some(start) = timing {
-            gep_obs::hist_record("kernel.leaf_ns", start.elapsed().as_nanos() as u64);
-        }
-        walk.executed += 1;
-        if on_step(walk.cursor) == StepControl::Stop {
-            walk.stopped = true;
-        }
-        return;
-    }
-    let h = s / 2;
-    for (di, dj, dk) in OCTANTS {
-        f_res(
-            spec,
-            c,
-            i0 + di * h,
-            j0 + dj * h,
-            k0 + dk * h,
-            h,
-            base,
-            walk,
-            on_step,
-        );
-        if walk.stopped {
-            return;
-        }
-    }
+    let mut leaves = 0;
+    walk_leaves(spec, Cube::root(n), base_size, &mut |_| {
+        leaves += 1;
+        ControlFlow::Continue(())
+    });
+    leaves
 }
 
 #[cfg(test)]

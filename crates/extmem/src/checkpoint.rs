@@ -648,7 +648,8 @@ mod tests {
     use super::*;
     use crate::fault::{fault_clock, run_to_crash, silence_injected_crash_reports, FaultPlan};
     use crate::store::{CkptStore, DirStore, MemStore};
-    use gep_apps::floyd_warshall::{FwSpec, Weight};
+    use gep_apps::floyd_warshall::FwSpec;
+    use gep_core::TROPICAL_INF;
 
     fn cfg(every: u64) -> CkptConfig {
         CkptConfig {
@@ -670,7 +671,7 @@ mod tests {
                 s ^= s >> 7;
                 s ^= s << 17;
                 if s % 5 == 0 {
-                    <i64 as Weight>::INFINITY
+                    TROPICAL_INF
                 } else {
                     (s % 30) as i64 + 1
                 }

@@ -81,8 +81,8 @@ impl<T: Copy + Default> CellStore<T> for ExtMatrix<T> {
 mod tests {
     use super::*;
     use crate::disk::DiskProfile;
-    use gep_apps::floyd_warshall::{FwSpec, Weight};
-    use gep_core::{cgep_full_with, gep_iterative, igep};
+    use gep_apps::floyd_warshall::FwSpec;
+    use gep_core::{cgep_full_with, gep_iterative, igep, TROPICAL_INF};
 
     fn shared(m_bytes: u64, b_bytes: u64) -> SharedArena<i64> {
         Rc::new(RefCell::new(ExtArena::new(
@@ -102,7 +102,7 @@ mod tests {
                 s ^= s >> 7;
                 s ^= s << 17;
                 if s % 5 == 0 {
-                    <i64 as Weight>::INFINITY
+                    TROPICAL_INF
                 } else {
                     (s % 30) as i64 + 1
                 }

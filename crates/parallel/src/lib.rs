@@ -167,11 +167,11 @@ pub fn with_threads<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gep_apps::floyd_warshall::{FwSpec, Weight};
+    use gep_apps::floyd_warshall::FwSpec;
     use gep_apps::matmul::matmul;
     use gep_apps::{GaussianSpec, LuSpec, TransitiveClosureSpec};
     use gep_core::algebra::PlusTimesF64;
-    use gep_core::{gep_iterative, igep_opt};
+    use gep_core::{gep_iterative, igep_opt, TROPICAL_INF};
 
     fn random_dist(n: usize, seed: u64) -> Matrix<i64> {
         let mut s = seed;
@@ -183,7 +183,7 @@ mod tests {
                 s ^= s >> 7;
                 s ^= s << 17;
                 if s % 4 == 0 {
-                    <i64 as Weight>::INFINITY
+                    TROPICAL_INF
                 } else {
                     (s % 100) as i64 + 1
                 }

@@ -9,7 +9,6 @@
 
 use std::fmt::Display;
 
-use gep_apps::Weight;
 use gep_matrix::Matrix;
 
 use crate::protocol::{EdgeMut, TROPICAL_INF};
@@ -50,7 +49,7 @@ pub fn random_graph(n: usize, seed: u64) -> Matrix<i64> {
         if i == j {
             0
         } else if rng.next_u64() % 3 == 0 {
-            <i64 as Weight>::INFINITY
+            TROPICAL_INF
         } else {
             (rng.next_u64() % 100) as i64 + 1
         }

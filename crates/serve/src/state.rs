@@ -34,7 +34,6 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use gep_apps::floyd_warshall::{relax_edge, tight_path, FwSpec, InEdges};
-use gep_apps::Weight;
 use gep_core::abcd::igep_opt;
 use gep_matrix::{next_pow2, Matrix};
 
@@ -88,12 +87,12 @@ impl Solved {
     /// Shortest distance `u → v`, `None` when unreachable.
     pub fn dist(&self, u: usize, v: usize) -> Option<i64> {
         let d = self.dist[(u, v)];
-        (d < <i64 as Weight>::INFINITY).then_some(d)
+        (d < TROPICAL_INF).then_some(d)
     }
 
     /// Whether `v` is reachable from `u`.
     pub fn reach(&self, u: usize, v: usize) -> bool {
-        self.dist[(u, v)] < <i64 as Weight>::INFINITY
+        self.dist[(u, v)] < TROPICAL_INF
     }
 
     /// One shortest path `u → v` as a vertex sequence (inclusive), walked
@@ -526,6 +525,7 @@ mod tests {
     use super::*;
     use crate::graph::{random_graph, random_mutations};
     use gep_apps::reference::{dijkstra_reference, fw_reference};
+    use gep_core::algebra::{MinPlusI64, UpdateAlgebra};
 
     #[test]
     fn initial_solve_matches_reference() {
@@ -539,7 +539,7 @@ mod tests {
             for j in 0..20 {
                 let want = oracle.get(i, j);
                 let got = snap.dist(i, j);
-                if want >= <i64 as Weight>::INFINITY {
+                if want >= TROPICAL_INF {
                     assert_eq!(got, None, "({i},{j}) should be unreachable");
                 } else {
                     assert_eq!(got, Some(want), "({i},{j})");
@@ -568,8 +568,8 @@ mod tests {
         for i in 0..16 {
             for j in 0..16 {
                 let want = oracle.get(i, j);
-                let got = snap.dist(i, j).unwrap_or(<i64 as Weight>::INFINITY);
-                assert_eq!(got, want.min(<i64 as Weight>::INFINITY), "({i},{j})");
+                let got = snap.dist(i, j).unwrap_or(TROPICAL_INF);
+                assert_eq!(got, want.min(TROPICAL_INF), "({i},{j})");
             }
         }
         cache.stop();
@@ -606,8 +606,8 @@ mod tests {
                         let total: i64 = p
                             .windows(2)
                             .map(|e| mutated.get(e[0], e[1]))
-                            .fold(0, |acc: i64, w| acc.wadd(w));
-                        assert_eq!(Some(total).filter(|&d| d < TROPICAL_INF_L), snap.dist(u, v));
+                            .fold(0, MinPlusI64::mul);
+                        assert_eq!(Some(total).filter(|&d| d < TROPICAL_INF), snap.dist(u, v));
                     }
                 }
             }
@@ -626,7 +626,7 @@ mod tests {
                 let oracle = dijkstra_reference(graph, u);
                 (0..n)
                     .map(|v| {
-                        let want = Some(oracle[v]).filter(|&d| d < TROPICAL_INF_L);
+                        let want = Some(oracle[v]).filter(|&d| d < TROPICAL_INF);
                         assert_eq!(snap.dist(u, v), want, "dist ({u},{v})");
                         let path = snap.path(u, v);
                         assert_eq!(path.is_some(), want.is_some(), "path ({u},{v})");
@@ -635,7 +635,7 @@ mod tests {
                         let mut total = 0;
                         for hop in p.windows(2) {
                             let w = graph.get(hop[0], hop[1]);
-                            assert!(hop[0] != hop[1] && w < TROPICAL_INF_L, "{p:?}");
+                            assert!(hop[0] != hop[1] && w < TROPICAL_INF, "{p:?}");
                             total += w;
                         }
                         assert_eq!(Some(total), want, "weight of {p:?}");
@@ -672,7 +672,7 @@ mod tests {
         let graph = Matrix::from_fn(n, n, |i, j| match (i == j, rng.below(4) == 0) {
             (true, _) => 0,
             (false, true) => 1,
-            (false, false) => TROPICAL_INF_L,
+            (false, false) => TROPICAL_INF,
         });
         let cache = ApspCache::new(graph.clone());
         let hops = check_against_dijkstra(&cache.snapshot(), &graph);
@@ -698,7 +698,7 @@ mod tests {
     /// end the walk must back out of.
     #[test]
     fn zero_weight_cycle_dead_end_does_not_trap_the_path_walk() {
-        let inf = TROPICAL_INF_L;
+        let inf = TROPICAL_INF;
         let graph = Matrix::from_rows(&[
             vec![0, inf, 1, inf],
             vec![inf, 0, inf, 0],
@@ -718,7 +718,7 @@ mod tests {
     /// holding the epoch-2 snapshot keeps seeing it.
     #[test]
     fn decrease_then_increase_of_one_edge_across_two_epochs() {
-        let inf = TROPICAL_INF_L;
+        let inf = TROPICAL_INF;
         let graph = Matrix::from_rows(&[
             vec![0, 10, 1, inf],
             vec![inf, 0, inf, 1],
@@ -747,7 +747,7 @@ mod tests {
 
     #[test]
     fn unreachable_pairs_and_self_paths() {
-        let inf = TROPICAL_INF_L;
+        let inf = TROPICAL_INF;
         // 2 is a sink; 3 is isolated.
         let graph = Matrix::from_rows(&[
             vec![0, 4, inf, inf],
@@ -850,7 +850,7 @@ mod tests {
     fn tight_and_slack_edges(graph: &Matrix<i64>, snap: &Solved) -> ((u32, u32), (u32, u32)) {
         let n = graph.n();
         let edges = (0..n).flat_map(|a| (0..n).map(move |b| (a, b)));
-        let finite = |&(a, b): &(usize, usize)| a != b && graph.get(a, b) < TROPICAL_INF_L;
+        let finite = |&(a, b): &(usize, usize)| a != b && graph.get(a, b) < TROPICAL_INF;
         let pick = |tight: bool| {
             edges
                 .clone()
@@ -897,7 +897,7 @@ mod tests {
         for delete in [false, true] {
             let ((a, b), _) = tight_and_slack_edges(&graph, &cache.snapshot());
             let w = if delete {
-                TROPICAL_INF_L
+                TROPICAL_INF
             } else {
                 graph.get(a as usize, b as usize) + 50
             };
@@ -931,7 +931,7 @@ mod tests {
             .take(3)
             .collect();
         let absent = (1..n)
-            .find(|&b| graph.get(0, b) >= TROPICAL_INF_L)
+            .find(|&b| graph.get(0, b) >= TROPICAL_INF)
             .expect("a missing out-edge of 0") as u32;
         let (a, b) = slack[0];
         let batch = vec![
@@ -940,7 +940,7 @@ mod tests {
                 slack[1].1,
                 graph.get(slack[1].0 as usize, slack[1].1 as usize) + 7,
             ),
-            (slack[2].0, slack[2].1, TROPICAL_INF_L),
+            (slack[2].0, slack[2].1, TROPICAL_INF),
             (a, b, snap.dist(a as usize, b as usize).unwrap()),
             (0, absent, 3),
             (4, 4, 9),
@@ -967,7 +967,7 @@ mod tests {
         let mut graph = random_graph(n, 12);
         let cache = ApspCache::new(graph.clone());
         let ((a, b), (c, e)) = tight_and_slack_edges(&graph, &cache.snapshot());
-        let rise = [(a, b, TROPICAL_INF_L)];
+        let rise = [(a, b, TROPICAL_INF)];
         cache.mutate(&rise).unwrap();
         // Once the solver has taken the rise, hold the buffer: it cannot
         // fold, and so cannot publish, before the decrease is in.
@@ -999,7 +999,7 @@ mod tests {
         );
         for u in [0, c as usize, n - 1] {
             for (v, &d) in dijkstra_reference(&graph, u).iter().enumerate() {
-                assert_eq!(snap.path(u, v).is_some(), d < TROPICAL_INF_L);
+                assert_eq!(snap.path(u, v).is_some(), d < TROPICAL_INF);
             }
         }
         assert_eq!(
@@ -1042,6 +1042,4 @@ mod tests {
         }
         cache.stop();
     }
-
-    const TROPICAL_INF_L: i64 = gep_core::algebra::TROPICAL_INF;
 }

@@ -16,7 +16,7 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use gep_apps::reference::fw_reference;
-use gep_apps::Weight;
+use gep_core::algebra::{MinPlusI64, UpdateAlgebra, TROPICAL_INF};
 use gep_obs::Json;
 use gep_serve::graph::{apply_mutations, random_graph, random_mutations};
 use gep_serve::loadgen::{self, LoadgenConfig, Mix, Pacing, RunLength};
@@ -97,7 +97,7 @@ fn epochs_stay_monotone_and_answers_match_oracle_after_mutation() {
     let mut mutated = base;
     apply_mutations(&mut mutated, &muts);
     let oracle = fw_reference(&mutated);
-    let inf = <i64 as Weight>::INFINITY;
+    let inf = TROPICAL_INF;
     for u in 0..n {
         for v in 0..n {
             let want = oracle.get(u, v).min(inf);
@@ -130,7 +130,7 @@ fn path_responses_reconstruct_real_shortest_paths_over_tcp() {
     let base = random_graph(n, 13);
     let server = Server::start(&ServerConfig::default(), base.clone()).expect("server starts");
     let oracle = fw_reference(&base);
-    let inf = <i64 as Weight>::INFINITY;
+    let inf = TROPICAL_INF;
     for u in 0..n {
         for v in 0..n {
             let resp = loadgen::request_once(
@@ -155,7 +155,7 @@ fn path_responses_reconstruct_real_shortest_paths_over_tcp() {
                     let total: i64 = path
                         .windows(2)
                         .map(|e| base.get(e[0], e[1]))
-                        .fold(0, |acc: i64, w| acc.wadd(w));
+                        .fold(0, MinPlusI64::mul);
                     assert_eq!(total, want, "({u},{v}) path weight");
                 }
                 other => panic!("unexpected path field: {other:?}"),

@@ -8,7 +8,7 @@
 //! ```
 
 use gep::apps::floyd_warshall::{apsp, distance_matrix, tight_path, InEdges};
-use gep::apps::Weight;
+use gep::core::TROPICAL_INF;
 use gep::matrix::next_pow2;
 
 /// Builds a `side x side` grid road network: local streets between
@@ -62,7 +62,7 @@ fn main() {
 
     // Build the distance matrix, pad to a power of two, solve.
     let m = distance_matrix(n, &edges);
-    let mut padded = m.padded(<i64 as Weight>::INFINITY);
+    let mut padded = m.padded(TROPICAL_INF);
     println!(
         "padded to {} x {} for the recursion",
         padded.n(),

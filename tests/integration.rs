@@ -1,10 +1,10 @@
 //! Workspace integration tests: multi-crate, end-to-end scenarios.
 
-use gep::apps::floyd_warshall::{distance_matrix, Weight};
+use gep::apps::floyd_warshall::distance_matrix;
 use gep::apps::reference;
 use gep::apps::FwSpec;
 use gep::cachesim::{AddressSpace, IdealCache, TrackedMatrix};
-use gep::core::{cgep_full, gep_iterative, igep, igep_opt, SumSpec};
+use gep::core::{cgep_full, gep_iterative, igep, igep_opt, SumSpec, TROPICAL_INF};
 use gep::extmem::{DiskProfile, ExtArena, ExtMatrix};
 use gep::matrix::Matrix;
 use gep::parallel::{igep_parallel, with_threads};
@@ -21,7 +21,7 @@ fn fw_input(n: usize, seed: u64) -> Matrix<i64> {
             s ^= s >> 7;
             s ^= s << 17;
             if s % 4 == 0 {
-                <i64 as Weight>::INFINITY
+                TROPICAL_INF
             } else {
                 (s % 60) as i64 + 1
             }
@@ -172,19 +172,13 @@ fn matmul_four_ways() {
 fn closure_matches_fw_reachability() {
     let n = 32;
     let dist = fw_input(n, 0xC105);
-    let mut adj = Matrix::from_fn(n, n, |i, j| {
-        i != j && dist[(i, j)] < <i64 as Weight>::INFINITY
-    });
+    let mut adj = Matrix::from_fn(n, n, |i, j| i != j && dist[(i, j)] < TROPICAL_INF);
     gep::apps::transitive_closure::transitive_closure(&mut adj, 8);
     let mut solved = dist.clone();
     gep::apps::floyd_warshall::apsp(&mut solved, 8);
     for i in 0..n {
         for j in 0..n {
-            assert_eq!(
-                adj[(i, j)],
-                solved[(i, j)] < <i64 as Weight>::INFINITY,
-                "({i},{j})"
-            );
+            assert_eq!(adj[(i, j)], solved[(i, j)] < TROPICAL_INF, "({i},{j})");
         }
     }
 }
@@ -223,11 +217,11 @@ fn full_generality_out_of_core() {
 fn distance_matrix_padding_pipeline() {
     let edges = [(0usize, 1, 2i64), (1, 2, 2), (2, 0, 2)];
     let d = distance_matrix::<i64>(3, &edges);
-    let mut padded = d.padded(<i64 as Weight>::INFINITY);
+    let mut padded = d.padded(TROPICAL_INF);
     assert_eq!(padded.n(), 4);
     gep::apps::floyd_warshall::apsp(&mut padded, 2);
     assert_eq!(padded[(0, 2)], 4);
     assert_eq!(padded[(2, 1)], 4);
     // Padding vertex stays unreachable.
-    assert!(padded[(0, 3)] >= <i64 as Weight>::INFINITY);
+    assert!(padded[(0, 3)] >= TROPICAL_INF);
 }

@@ -1,10 +1,11 @@
 //! Property-based tests (proptest) over the workspace's core invariants.
 
-use gep::apps::floyd_warshall::{FwSpec, Weight};
+use gep::apps::floyd_warshall::FwSpec;
 use gep::apps::reference;
 use gep::cachesim::{CacheModel, IdealCache};
+use gep::core::algebra::{MinPlusI64, UpdateAlgebra};
 use gep::core::spec::{ClosureSpec, ExplicitSet};
-use gep::core::{cgep_full, cgep_reduced, gep_iterative, igep, igep_opt};
+use gep::core::{cgep_full, cgep_reduced, gep_iterative, igep, igep_opt, TROPICAL_INF};
 use gep::extmem::{DiskProfile, ExtArena, ExtMatrix};
 use gep::matrix::{morton, Matrix, TiledMatrix};
 use proptest::prelude::*;
@@ -83,7 +84,7 @@ proptest! {
         let input = Matrix::from_fn(n, n, |i, j| {
             if i == j { 0i64 } else {
                 s ^= s << 13; s ^= s >> 7; s ^= s << 17;
-                if s % 4 == 0 { <i64 as Weight>::INFINITY } else { (s % 50) as i64 + 1 }
+                if s % 4 == 0 { TROPICAL_INF } else { (s % 50) as i64 + 1 }
             }
         });
         let mut g = input.clone();
@@ -96,7 +97,7 @@ proptest! {
         prop_assert_eq!(&o, &g);
         // Triangle inequality of the result.
         for i in 0..n { for j in 0..n { for k in 0..n {
-            prop_assert!(g[(i,j)] <= g[(i,k)].wadd(g[(k,j)]));
+            prop_assert!(g[(i,j)] <= MinPlusI64::mul(g[(i,k)], g[(k,j)]));
         }}}
     }
 
@@ -198,7 +199,7 @@ proptest! {
     fn fw_paths_are_valid_walks(q in 1usize..=4, seed in any::<u64>()) {
         use gep::apps::floyd_warshall::{apsp, tight_path, InEdges};
         let n = 1usize << q;
-        let inf = <i64 as Weight>::INFINITY;
+        let inf = TROPICAL_INF;
         let mut s = seed | 1;
         let dist = Matrix::from_fn(n, n, |i, j| {
             if i == j { 0i64 } else {
@@ -242,7 +243,7 @@ proptest! {
         steps in 1usize..=40,
     ) {
         use gep::apps::floyd_warshall::{apsp, relax_edge};
-        let inf = <i64 as Weight>::INFINITY;
+        let inf = TROPICAL_INF;
         let side = n.next_power_of_two();
         let mut s = seed | 1;
         let mut next = move |m: u64| {
