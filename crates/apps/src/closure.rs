@@ -162,7 +162,7 @@ mod tests {
             vec![inf, i64::MAX, 3],
             vec![inf, inf, i64::MAX],
         ]);
-        let mut m = init.padded(i64::MIN);
+        let mut m = init.padded(i64::MIN, 2);
         igep_opt(&SemiringSpec::<MaxMinI64>::new(), &mut m, 2);
         assert_eq!(m[(0, 2)], 3);
         assert_eq!(m[(0, 1)], 5);

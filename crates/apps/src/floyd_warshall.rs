@@ -250,8 +250,9 @@ pub fn relax_edge(d: &mut Matrix<i64>, n: usize, a: usize, b: usize, w: i64) -> 
 /// Convenience: solve APSP with the optimised sequential I-GEP engine.
 ///
 /// # Panics
-/// Panics unless `dist` is square with a power-of-two side (pad with
-/// [`TROPICAL_INF`] via [`Matrix::padded`] first if needed).
+/// Panics unless `dist` is square with a side that halves exactly down
+/// to leaves of side `<= base_size` (pad with [`TROPICAL_INF`] via
+/// [`Matrix::padded`] first if needed).
 pub fn apsp<W: Weight>(dist: &mut Matrix<W>, base_size: usize) {
     gep_core::igep_opt(&FwSpec::<W>::new(), dist, base_size);
 }

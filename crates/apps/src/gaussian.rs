@@ -101,42 +101,38 @@ impl GepSpec for GaussianSpec {
 /// afterwards the upper triangle of `a` is the `U` factor.
 ///
 /// # Panics
-/// Panics unless `a` is square with a power-of-two side.
+/// Panics unless `a` is square with a side that halves exactly down to
+/// leaves of side `<= base_size` (a power of two, or a
+/// [`gep_matrix::fit_side`] for the same base).
 pub fn eliminate(a: &mut Matrix<f64>, base_size: usize) {
     gep_core::igep_opt(&GaussianSpec, a, base_size);
 }
 
-/// Forward-eliminates the augmented system: runs GEP elimination on the
-/// `(n+1)`-column system `[A | b]` packed into a power-of-two square.
-///
-/// Returns the eliminated square matrix (side `next_pow2(n+1)`) whose
-/// first `n` columns hold `U` and whose column `n` holds the transformed
-/// right-hand side `y` with `U x = y`.
-fn eliminate_augmented(a: &Matrix<f64>, b: &[f64], base_size: usize) -> Matrix<f64> {
+/// `A`, with `b` as column `n` when given, embedded in a square of side
+/// `fit_side(width, base_size)`. Identity padding keeps the system
+/// nonsingular and the extra rows/columns inert (their off-diagonal
+/// entries are zero).
+fn identity_padded(a: &Matrix<f64>, b: Option<&[f64]>, base_size: usize) -> Matrix<f64> {
     let n = a.n();
-    assert_eq!(b.len(), n);
-    let m = gep_matrix::next_pow2(n + 1);
-    // Identity padding keeps the system nonsingular and the extra
-    // rows/columns inert (their off-diagonal entries are zero).
-    let mut aug = Matrix::from_fn(m, m, |i, j| {
+    let width = n + usize::from(b.is_some());
+    let m = gep_matrix::fit_side(width, base_size);
+    Matrix::from_fn(m, m, |i, j| {
         if i < n && j < n {
             a[(i, j)]
         } else if i < n && j == n {
-            b[i]
+            b.map_or(0.0, |b| b[i])
         } else if i == j {
             1.0
         } else {
             0.0
         }
-    });
-    eliminate(&mut aug, base_size);
-    aug
+    })
 }
 
 /// Solves `U x = y` for upper-triangular `U` (back substitution) on the
-/// leading `n × n` block of `u`, with `y` in column `ycol`.
-fn back_substitute(u: &Matrix<f64>, n: usize, ycol: usize) -> Vec<f64> {
-    let mut x = vec![0.0; n];
+/// leading `x.len() × x.len()` block of `u`, with `y` in column `ycol`.
+fn back_substitute(u: &Matrix<f64>, ycol: usize, x: &mut [f64]) {
+    let n = x.len();
     for i in (0..n).rev() {
         let mut acc = u[(i, ycol)];
         for j in i + 1..n {
@@ -144,35 +140,31 @@ fn back_substitute(u: &Matrix<f64>, n: usize, ycol: usize) -> Vec<f64> {
         }
         x[i] = acc / u[(i, i)];
     }
-    x
 }
 
 /// Solves `A x = b` by GEP Gaussian elimination (no pivoting) followed by
 /// back substitution.
 ///
-/// `A` may be any square size (it is padded to a power of two internally).
-/// Requires all leading principal minors nonsingular.
+/// `A` may be any square size: the `(n+1)`-column system `[A | b]` is
+/// padded internally to `fit_side(n+1, base_size)` and eliminated, which
+/// leaves `U` in its first `n` columns and `y` with `U x = y` in column
+/// `n`. Requires all leading principal minors nonsingular.
 pub fn solve(a: &Matrix<f64>, b: &[f64], base_size: usize) -> Vec<f64> {
     let n = a.n();
-    let aug = eliminate_augmented(a, b, base_size);
-    back_substitute(&aug, n, n)
+    assert_eq!(b.len(), n);
+    // Allocated before `aug`, so freeing `aug` can shrink the heap top.
+    let mut x = vec![0.0; n];
+    let mut aug = identity_padded(a, Some(b), base_size);
+    eliminate(&mut aug, base_size);
+    back_substitute(&aug, n, &mut x);
+    x
 }
 
 /// Determinant of `A` via elimination: the product of the pivots.
 pub fn determinant(a: &Matrix<f64>, base_size: usize) -> f64 {
-    let n = a.n();
-    let m = gep_matrix::next_pow2(n);
-    let mut p = Matrix::from_fn(m, m, |i, j| {
-        if i < n && j < n {
-            a[(i, j)]
-        } else if i == j {
-            1.0
-        } else {
-            0.0
-        }
-    });
+    let mut p = identity_padded(a, None, base_size);
     eliminate(&mut p, base_size);
-    (0..n).map(|i| p[(i, i)]).product()
+    (0..a.n()).map(|i| p[(i, i)]).product()
 }
 
 #[cfg(test)]
@@ -265,6 +257,53 @@ mod tests {
             vec![0.0, 0.0, 0.5],
         ]);
         assert!((determinant(&t, 2) - 3.0).abs() < 1e-12);
+    }
+
+    /// `[A | b]` of width `n + 1` runs on the fitted side 1536 (`48·32`)
+    /// for n = 1500 and 1501, not on 2048.
+    fn check_solve_on_side_1536(n: usize) {
+        assert_eq!(gep_matrix::fit_side(n + 1, 64), 1536);
+        let a = spd_matrix(n, n as u64);
+        let b: Vec<f64> = (0..n).map(|i| (i % 11) as f64 - 5.0).collect();
+        let x = solve(&a, &b, 64);
+        let x_ref = solve_reference(&a, &b);
+        for i in 0..n {
+            assert!((x[i] - x_ref[i]).abs() < 1e-10, "n={n} i={i}");
+        }
+    }
+
+    // Two tests, not one loop, so the O(n³) unoptimised reference solves
+    // run on separate test threads.
+    #[test]
+    fn solver_at_1500_matches_reference() {
+        check_solve_on_side_1536(1500);
+    }
+
+    #[test]
+    fn solver_at_1501_matches_reference() {
+        check_solve_on_side_1536(1501);
+    }
+
+    #[test]
+    fn determinant_on_a_fitted_side() {
+        // n = 150 pads to 192 (24·8) with base 32, to 256 with base 4.
+        let n = 150;
+        assert_eq!(gep_matrix::fit_side(n, 32), 192);
+        let mut a = spd_matrix(n, 3);
+        for i in 0..n {
+            for j in 0..n {
+                a[(i, j)] = if i == j { 1.0 } else { a[(i, j)] / n as f64 };
+            }
+        }
+        let u = ge_reference(&a);
+        let want: f64 = (0..n).map(|i| u[(i, i)]).product();
+        for base in [32usize, 4] {
+            let got = determinant(&a, base);
+            assert!(
+                (got - want).abs() < 1e-12 * want.abs(),
+                "base={base}: {got} vs {want}"
+            );
+        }
     }
 
     #[test]

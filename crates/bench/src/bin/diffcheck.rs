@@ -21,13 +21,19 @@
 //!   engines; any divergence of a fully general engine is localized and
 //!   reported (exit code 1). Every instance has its own RNG seed, printed
 //!   on failure; `fuzz --seed <u64>` (decimal or 0x-hex) replays exactly
-//!   that instance deterministically.
+//!   that instance deterministically. One seed in 40 also runs an FW
+//!   and an f64 GE instance on a fitted side ([`FITTED`]: a
+//!   non-power-of-two `leaf·2^q`) through the four I-GEP engines that
+//!   accept such sides, against G: bitwise for FW, within 1e-9 for GE,
+//!   whose SIMD kernels fuse multiply-add.
 //! * `kernels [trials]` — the specialized-vs-generic kernel axis: random
 //!   instances of the five kernel-backed applications (GE, LU, FW, TC,
 //!   MM) run with each `gep-kernels` backend the host supports, compared
 //!   against the scalar generic base case (bitwise for `i64`/`bool`,
 //!   1e-9 for `f64`; the MM embed-vs-recursion bitwise invariant is
-//!   checked under every backend). Seeds print and replay exactly like
+//!   checked under every backend). One seed in 8 runs on a fitted side
+//!   ([`FITTED`]) instead of `n ∈ {4..32}`, without MM, whose
+//!   recursion needs a power of two. Seeds print and replay exactly like
 //!   `fuzz` (`kernels --seed <u64>`). Passing `--engine-kernels` to
 //!   `fuzz` or `all` folds this axis into each fuzz trial.
 //! * `algebras [trials]` — the update-algebra axis: random closure
@@ -36,8 +42,11 @@
 //!   checked three ways per algebra: every engine vs an independent
 //!   scalar oracle, every available kernel backend vs the generic base
 //!   case, and the matmul embed-vs-recursion bitwise invariant. All
-//!   algebras here are exact, so every comparison is bitwise. Seeds
-//!   print and replay exactly like `fuzz` (`algebras --seed <u64>`).
+//!   algebras here are exact, so every comparison is bitwise. One seed
+//!   in 8 runs the closure and GF(2³¹−1) instances on a fitted side
+//!   ([`FITTED`]), without C-GEP and the embed invariant, which need a
+//!   power of two. Seeds print and replay exactly like `fuzz`
+//!   (`algebras --seed <u64>`).
 //! * `crash [trials]` — the crash-recovery axis (`gep_bench::crashcheck`):
 //!   each trial runs a checkpointed out-of-core solve (FW over `i64` or
 //!   GE over `f64`), kills it at a seed-fuzzed write (optionally tearing
@@ -64,6 +73,7 @@ use gep::apps::{ElimSpec, FwSpec, GaussianSpec, LuSpec, SemiringSpec, Transitive
 use gep::core::algebra::{
     Gf2Block, Gf2x64, GfMersenne31, MaxMinI64, MinPlusI64, OrAndBool, PlusTimesF64, TROPICAL_INF,
 };
+use gep::core::GepSpec;
 use gep::matrix::Matrix;
 use gep::verify::{
     all_engines, buggy_engine, diff_engine, minimize, recorded_regression, AffineInstance,
@@ -162,6 +172,96 @@ fn mix(z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Non-power-of-two sides `leaf·2^q`, each with a base that halves it
+/// exactly down to its leaf: the sides `gep_matrix::fit_side` produces,
+/// plus leaves that are not multiples of 8.
+const FITTED: [(usize, usize); 5] = [
+    (160, 64), // 40·4
+    (160, 32), // 20·8
+    (192, 64), // 48·4
+    (192, 16), // 12·16
+    (320, 64), // 40·8
+];
+
+/// The fitted `(side, base)` of `seed`'s trial, for one seed in
+/// `one_in`. Drawn from a stream of its own, so every other seed replays
+/// the same power-of-two instance it always did.
+fn fitted_draw(seed: u64, one_in: u64) -> Option<(usize, usize)> {
+    let mut rng = Rng(mix(seed ^ 0x4649_5454).max(1));
+    (rng.below(one_in) == 0).then(|| FITTED[rng.below(FITTED.len() as u64) as usize])
+}
+
+/// An engine entry point: `(spec, matrix, base)`.
+type EngineFn<S> = fn(&S, &mut Matrix<<S as GepSpec>::Elem>, usize);
+
+/// Runs `init` through G and through the four engines that take fitted
+/// sides; returns the engines whose result `same` rejects against G's.
+fn fitted_engines_check<S: GepSpec + Sync>(
+    spec: &S,
+    init: &Matrix<S::Elem>,
+    base: usize,
+    same: impl Fn(&Matrix<S::Elem>, &Matrix<S::Elem>) -> bool,
+) -> Vec<&'static str> {
+    let mut g = init.clone();
+    gep::core::gep_iterative(spec, &mut g);
+    let engines: [(&'static str, EngineFn<S>); 4] = [
+        ("igep", |s, c, b| gep::core::igep(s, c, b)),
+        ("igep_opt", |s, c, b| gep::core::igep_opt(s, c, b)),
+        ("igep_parallel", |s, c, b| {
+            gep::parallel::igep_parallel(s, c, b)
+        }),
+        ("igep_parallel_simple", |s, c, b| {
+            gep::parallel::igep_parallel_simple(s, c, b)
+        }),
+    ];
+    engines
+        .into_iter()
+        .filter(|(_, run)| {
+            let mut c = init.clone();
+            run(spec, &mut c, base);
+            !same(&c, &g)
+        })
+        .map(|(name, _)| name)
+        .collect()
+}
+
+/// The fitted-side part of a fuzz trial: FW with sentinels bitwise
+/// against G, and f64 GE within 1e-9.
+fn fitted_one(seed: u64, n: usize, base: usize, label: &str) -> bool {
+    let mut rng = Rng(mix(seed ^ 0x5349_4445).max(1));
+    let fw = Matrix::from_fn(n, n, |i, j| match (i == j, rng.below(6)) {
+        (true, _) => 0i64,
+        (false, 0) => TROPICAL_INF,
+        (false, _) => rng.below(100) as i64 + 1,
+    });
+    let mut ge = Matrix::from_fn(n, n, |_, _| rng.below(1000) as f64 / 1000.0 - 0.5);
+    for i in 0..n {
+        ge[(i, i)] = n as f64;
+    }
+    let failed = [
+        (
+            "fw",
+            fitted_engines_check(&FwSpec::<i64>::new(), &fw, base, |a, b| a == b),
+        ),
+        (
+            "ge",
+            fitted_engines_check(&GaussianSpec, &ge, base, |a, b| a.approx_eq(b, 1e-9)),
+        ),
+    ];
+    let mut ok = true;
+    for (app, engines) in failed {
+        for engine in engines {
+            ok = false;
+            println!(
+                "{label} (seed {seed:#018x}) fitted side {n} base {base}: {app} engine \
+                 {engine} diverges from G"
+            );
+            println!("replay with: diffcheck fuzz --seed {seed:#x}\n");
+        }
+    }
+    ok
+}
+
 /// Builds the random instance identified by `seed`.
 fn random_instance(seed: u64) -> AffineInstance {
     // xorshift has 0 as a fixed point; remap it rather than hang.
@@ -209,6 +309,9 @@ fn fuzz_one(seed: u64, label: &str) -> bool {
                 println!("replay with: diffcheck fuzz --seed {seed:#x}\n");
             }
         }
+    }
+    if let Some((n, base)) = fitted_draw(seed, 40) {
+        ok &= fitted_one(seed, n, base, label);
     }
     ok
 }
@@ -277,6 +380,7 @@ fn kernels_one(seed: u64, label: &str) -> bool {
     let n = 1usize << (2 + rng.below(4)); // 4, 8, 16, 32
     let bases = [1usize, 2, 3, 4, 7, 8, 16];
     let base = bases[rng.below(bases.len() as u64) as usize];
+    let (n, base) = fitted_draw(seed, 8).unwrap_or((n, base));
     let simd: Vec<Backend> = available_backends()
         .into_iter()
         .filter(|b| *b != Backend::Generic)
@@ -354,6 +458,10 @@ fn kernels_one(seed: u64, label: &str) -> bool {
     // MM: backend vs generic with tolerance, plus the embed-vs-recursion
     // bitwise invariant under every backend (both paths must route each
     // (i,j,k) contribution through the same panel op in the same order).
+    // The MM recursion needs a power-of-two side.
+    if !n.is_power_of_two() {
+        return ok;
+    }
     let a = Matrix::from_fn(n, n, |_, _| rng.below(200) as f64 / 100.0 - 1.0);
     let b = Matrix::from_fn(n, n, |_, _| rng.below(200) as f64 / 100.0 - 1.0);
     let emb_init = Matrix::from_fn(2 * n, 2 * n, |i, j| match (i < n, j < n) {
@@ -463,13 +571,16 @@ fn closure_algebra_check<A: gep_kernels::AlgebraKernels>(
             format!("engine A/B/C/D (base {base}) diverges from the scalar oracle"),
         );
     }
-    let mut h = init.clone();
-    gep::core::cgep_full(&spec, &mut h, base);
-    if &h != oracle {
-        report(
-            A::NAME,
-            format!("engine H (base {base}) diverges from the scalar oracle"),
-        );
+    // C-GEP needs a power-of-two side.
+    if init.n().is_power_of_two() {
+        let mut h = init.clone();
+        gep::core::cgep_full(&spec, &mut h, base);
+        if &h != oracle {
+            report(
+                A::NAME,
+                format!("engine H (base {base}) diverges from the scalar oracle"),
+            );
+        }
     }
     let run: &dyn Fn(&mut Matrix<A::Elem>) = &|m| gep::core::igep_opt(&spec, m, base);
     let want = run_with(Backend::Generic, init, run);
@@ -551,13 +662,15 @@ fn elim_algebra_check<A>(
             format!("elimination engine A/B/C/D (base {base}) diverges from the scalar oracle"),
         );
     }
-    let mut h = init.clone();
-    gep::core::cgep_full(&spec, &mut h, base);
-    if &h != oracle {
-        report(
-            A::NAME,
-            format!("elimination engine H (base {base}) diverges from the oracle"),
-        );
+    if init.n().is_power_of_two() {
+        let mut h = init.clone();
+        gep::core::cgep_full(&spec, &mut h, base);
+        if &h != oracle {
+            report(
+                A::NAME,
+                format!("elimination engine H (base {base}) diverges from the oracle"),
+            );
+        }
     }
     let run: &dyn Fn(&mut Matrix<A::Elem>) = &|m| gep::core::igep_opt(&spec, m, base);
     let want = run_with(Backend::Generic, init, run);
@@ -623,6 +736,7 @@ fn algebras_one(seed: u64, label: &str) -> bool {
     let n = 1usize << (2 + rng.below(3)); // 4, 8, 16
     let bases = [1usize, 2, 4, 8];
     let base = bases[rng.below(bases.len() as u64) as usize];
+    let (n, base) = fitted_draw(seed, 8).unwrap_or((n, base));
 
     let mut ok = true;
     let mut report = |algebra: &'static str, detail: String| {
@@ -664,14 +778,17 @@ fn algebras_one(seed: u64, label: &str) -> bool {
     let tc_init = Matrix::from_fn(n, n, |i, j| i == j || rng.below(4) == 0);
     closure_algebra_check::<OrAndBool>(&tc_init, &tc_reference(&tc_init), base, &mut report);
 
-    // Embed-vs-recursion over the exact semirings (bitwise, all backends).
-    let a = Matrix::from_fn(n, n, |_, _| rng.below(200) as i64);
-    let b = Matrix::from_fn(n, n, |_, _| rng.below(200) as i64);
-    embed_vs_recursion_check::<MinPlusI64>(&a, &b, base, &mut report);
-    embed_vs_recursion_check::<MaxMinI64>(&a, &b, base, &mut report);
-    let ab = Matrix::from_fn(n, n, |_, _| rng.below(3) == 0);
-    let bb = Matrix::from_fn(n, n, |_, _| rng.below(3) == 0);
-    embed_vs_recursion_check::<OrAndBool>(&ab, &bb, base, &mut report);
+    // Embed-vs-recursion over the exact semirings (bitwise, all backends);
+    // the matmul recursion needs a power-of-two side.
+    if n.is_power_of_two() {
+        let a = Matrix::from_fn(n, n, |_, _| rng.below(200) as i64);
+        let b = Matrix::from_fn(n, n, |_, _| rng.below(200) as i64);
+        embed_vs_recursion_check::<MinPlusI64>(&a, &b, base, &mut report);
+        embed_vs_recursion_check::<MaxMinI64>(&a, &b, base, &mut report);
+        let ab = Matrix::from_fn(n, n, |_, _| rng.below(3) == 0);
+        let bb = Matrix::from_fn(n, n, |_, _| rng.below(3) == 0);
+        embed_vs_recursion_check::<OrAndBool>(&ab, &bb, base, &mut report);
+    }
 
     // GF(2), bitsliced: elimination against the scalar bool-matrix
     // reference, plus the embed invariant on the (noncommutative) block

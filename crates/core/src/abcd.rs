@@ -31,7 +31,7 @@
 use crate::gepmat::GepMat;
 use crate::joiner::{Joiner, Serial};
 use crate::spec::{BoxShape, GepSpec};
-use gep_matrix::Matrix;
+use gep_matrix::{halves_to_leaf, Matrix};
 
 /// Optimised sequential I-GEP (Section 4.2): the A/B/C/D recursion with an
 /// iterative base-case kernel of side `base_size`, executed serially.
@@ -39,9 +39,12 @@ use gep_matrix::Matrix;
 /// Produces the same result as [`crate::igep`] for every spec on which
 /// I-GEP is exact.
 ///
+/// The side must halve exactly down to leaves of side `<= base_size`
+/// ([`gep_matrix::halves_to_leaf`]): a power of two, or a
+/// [`gep_matrix::fit_side`] for the same `base_size`.
+///
 /// # Panics
-/// Panics unless `c` is square with a power-of-two side and
-/// `1 <= base_size`.
+/// Panics unless `c` is square with such a side and `1 <= base_size`.
 pub fn igep_opt<S>(spec: &S, c: &mut Matrix<S::Elem>, base_size: usize)
 where
     S: GepSpec + Sync,
@@ -52,8 +55,8 @@ where
 /// The A/B/C/D engine with an explicit joiner (used by `gep-parallel`).
 ///
 /// # Panics
-/// Panics unless `c` is square with a power-of-two side and
-/// `1 <= base_size`.
+/// Panics unless `c` is square with a side that halves exactly down to
+/// leaves of side `<= base_size`, and `1 <= base_size`.
 pub fn igep_abcd<S, J>(joiner: &J, spec: &S, c: &mut Matrix<S::Elem>, base_size: usize)
 where
     S: GepSpec + Sync,
@@ -63,8 +66,11 @@ where
     if n == 0 {
         return; // Σ ⊆ [0,0)³ is empty — match gep_iterative's no-op.
     }
-    assert!(n.is_power_of_two(), "I-GEP needs a power-of-two side");
     assert!(base_size >= 1);
+    assert!(
+        halves_to_leaf(n, base_size),
+        "I-GEP needs side = leaf·power-of-two with leaf <= base"
+    );
     let m = GepMat::new(c);
     // SAFETY: `m` exclusively borrows `c`; `fn_a` upholds the Figure 6
     // disjoint-writes discipline (see `gepmat` module docs).
@@ -589,5 +595,63 @@ mod tests {
             igep_opt(&GeSpec, &mut opt, 2);
             assert!(g.approx_eq(&opt, 1e-9), "n={n}");
         }
+    }
+
+    /// Sides `leaf·2^q` (leaf <= base) run the same recursion down to
+    /// leaves of the leaf side, bit-identical to G.
+    #[test]
+    fn abcd_matches_g_on_fitted_sides() {
+        for (n, base) in [(160usize, 32usize), (40, 8), (24, 8), (12, 4)] {
+            let init = random_dist(n, 5 + n as u64);
+            let mut g = init.clone();
+            let mut opt = init.clone();
+            gep_iterative(&MinPlus, &mut g);
+            igep_opt(&MinPlus, &mut opt, base);
+            assert_eq!(g, opt, "min-plus n={n} base={base}");
+            let init = Matrix::from_fn(n, n, |i, j| {
+                if i == j {
+                    n as f64 * 10.0
+                } else {
+                    ((i * 13 + j * 7) % 10) as f64 / 10.0 + 0.1
+                }
+            });
+            let mut g = init.clone();
+            let mut opt = init.clone();
+            gep_iterative(&GeSpec, &mut g);
+            igep_opt(&GeSpec, &mut opt, base);
+            assert_eq!(g, opt, "ge n={n} base={base}");
+        }
+    }
+
+    /// Empty Σ: the engine returns right after checking the side.
+    struct NoSigma;
+    impl GepSpec for NoSigma {
+        type Elem = i64;
+        fn update(&self, _: usize, _: usize, _: usize, x: i64, _: i64, _: i64, _: i64) -> i64 {
+            x
+        }
+        fn in_sigma(&self, _: usize, _: usize, _: usize) -> bool {
+            false
+        }
+        fn sigma_intersects(
+            &self,
+            _: (usize, usize),
+            _: (usize, usize),
+            _: (usize, usize),
+        ) -> bool {
+            false
+        }
+    }
+
+    #[test]
+    fn accepts_sides_that_halve_to_a_leaf() {
+        igep_opt(&NoSigma, &mut Matrix::square(1536, 0), 64); // 48·32
+        igep_opt(&NoSigma, &mut Matrix::square(160, 0), 32); // 20·8
+    }
+
+    #[test]
+    #[should_panic(expected = "power-of-two")]
+    fn rejects_side_that_does_not_halve_to_a_leaf() {
+        igep_opt(&NoSigma, &mut Matrix::square(1500, 0), 64);
     }
 }

@@ -41,7 +41,8 @@ use std::time::Instant;
 /// kernels apply to the raw in-core [`crate::abcd`] engine.
 ///
 /// # Panics
-/// Panics unless `c` is square with a power-of-two side, and
+/// Panics unless `c` is square with a side that halves exactly down to
+/// leaves of side `<= base_size` ([`gep_matrix::halves_to_leaf`]), and
 /// `base_size >= 1`.
 pub fn igep<S, St>(spec: &S, c: &mut St, base_size: usize)
 where
@@ -53,13 +54,14 @@ where
 }
 
 /// The recursive `F` on an explicit box: rows `i0..i0+s`,
-/// cols `j0..j0+s`, update indices `k0..k0+s` (`s` a power of two).
+/// cols `j0..j0+s`, update indices `k0..k0+s`.
 ///
 /// Runs the iterative kernel on each leaf of the [`walk_leaves`] schedule
 /// and counts the non-pruned calls of `F` into `igep.calls`.
 ///
 /// # Panics
-/// Panics unless `s` is zero or a power of two, and `base >= 1`; the
+/// Panics unless `s` is zero or halves exactly down to leaves of side
+/// `<= base`, and `base >= 1`; the
 /// caller must pass boxes aligned the way `F` would produce them for the
 /// results to mean anything.
 pub fn igep_box<S, St>(spec: &S, c: &mut St, i0: usize, j0: usize, k0: usize, s: usize, base: usize)

@@ -50,8 +50,11 @@
 //! indices under this convention, which absorbs the paper's `k − |·|`
 //! subscript arithmetic into clean half-open prefixes.
 //!
-//! `n` must be a power of two for all recursive engines
-//! (use [`gep_matrix::Matrix::padded`] to embed other sizes).
+//! The I-GEP engines ([`igep`], [`igep_opt`], the resumable cursor) take
+//! any side that halves exactly down to leaves of side `<= base`: a power
+//! of two, or a [`gep_matrix::fit_side`] for that base (use
+//! [`gep_matrix::Matrix::padded`] to embed other sizes). C-GEP and the
+//! π/δ/τ theory functions need a power of two.
 
 pub mod abcd;
 pub mod algebra;

@@ -68,8 +68,9 @@ pub struct ResumeOutcome {
 /// until the cursor catches up.
 ///
 /// # Panics
-/// Panics unless `c` is square with a power-of-two side and
-/// `base_size >= 1` (same contract as `igep`).
+/// Panics unless `c` is square with a side that halves exactly down to
+/// leaves of side `<= base_size`, and `base_size >= 1` (same contract
+/// as `igep`).
 pub fn igep_resumable<S, St>(
     spec: &S,
     c: &mut St,
@@ -107,7 +108,8 @@ where
 /// base)` — the cursor value of a completed run. Pure: touches no matrix.
 ///
 /// # Panics
-/// Panics unless `n` is zero or a power of two, and `base_size >= 1`.
+/// Panics unless `n` is zero or halves exactly down to leaves of side
+/// `<= base_size`, and `base_size >= 1`.
 pub fn igep_step_count<S: GepSpec>(spec: &S, n: usize, base_size: usize) -> u64 {
     let mut leaves = 0;
     walk_leaves(spec, Cube::root(n), base_size, &mut |_| {

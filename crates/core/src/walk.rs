@@ -14,6 +14,7 @@
 //! would read.
 
 use crate::spec::GepSpec;
+use gep_matrix::halves_to_leaf;
 use std::ops::ControlFlow;
 
 /// The eight recursive calls of `F` in execution order, as `(di, dj, dk)`
@@ -41,7 +42,7 @@ pub struct Cube {
     pub j0: usize,
     /// First update index.
     pub k0: usize,
-    /// Side (a power of two).
+    /// Side (a leaf side `<= base` times a power of two).
     pub s: usize,
 }
 
@@ -72,7 +73,8 @@ impl Cube {
 /// the number of calls `F` makes that get past its line 1.
 ///
 /// # Panics
-/// Panics unless `root.s` is zero (an empty walk) or a power of two, and
+/// Panics unless `root.s` is zero (an empty walk) or halves exactly down
+/// to leaves of side `<= base` ([`gep_matrix::halves_to_leaf`]), and
 /// `base >= 1`.
 pub fn walk_leaves<S: GepSpec>(
     spec: &S,
@@ -83,8 +85,11 @@ pub fn walk_leaves<S: GepSpec>(
     if root.s == 0 {
         return 0; // Σ ⊆ [0,0)³ is empty.
     }
-    assert!(root.s.is_power_of_two(), "I-GEP needs a power-of-two side");
     assert!(base >= 1);
+    assert!(
+        halves_to_leaf(root.s, base),
+        "I-GEP needs side = leaf·power-of-two with leaf <= base"
+    );
     let mut nodes = 0;
     let _ = descend(spec, root, base, &mut nodes, visit);
     nodes
@@ -203,16 +208,42 @@ mod tests {
         assert_eq!(rec.counter("igep.calls"), nodes);
     }
 
+    /// Power-of-two sides, and sides `leaf·2^q` with `leaf <= base`.
     #[test]
     fn leaves_cover_sigma_exactly_once() {
-        for n in [1usize, 2, 8, 16] {
-            for base in [1usize, 2, 4] {
-                let (spec, sigma) = sparse_spec(n);
-                check_cover(&spec, n, base, sigma);
-                let ge: u64 = (0..n as u64).map(|m| m * m).sum();
-                check_cover(&GeSigma, n, base, ge);
-            }
+        let pow2 = [1usize, 2, 8, 16]
+            .into_iter()
+            .flat_map(|n| [1usize, 2, 4].map(|base| (n, base)));
+        let fitted = [(12usize, 4usize), (24, 8), (40, 8), (20, 5)];
+        for (n, base) in pow2.chain(fitted) {
+            let (spec, sigma) = sparse_spec(n);
+            check_cover(&spec, n, base, sigma);
+            let ge: u64 = (0..n as u64).map(|m| m * m).sum();
+            check_cover(&GeSigma, n, base, ge);
         }
+    }
+
+    /// A side `leaf·2^q` (leaf <= base) walks leaves of exactly the leaf
+    /// side.
+    #[test]
+    fn fitted_sides_walk_leaves_of_the_leaf_side() {
+        for (n, base, leaf) in [
+            (12usize, 4usize, 3usize),
+            (24, 8, 6),
+            (40, 8, 5),
+            (20, 5, 5),
+        ] {
+            let (walked, _) = leaves(&SumSpec, n, base);
+            assert!(walked.iter().all(|c| c.s == leaf), "n={n} base={base}");
+        }
+        assert_eq!(igep_step_count(&SumSpec, 1536, 64), 32 * 32 * 32); // leaves of 48
+        assert_eq!(igep_step_count(&SumSpec, 160, 32), 8 * 8 * 8); // leaves of 20
+    }
+
+    #[test]
+    #[should_panic(expected = "power-of-two")]
+    fn rejects_side_that_does_not_halve_to_a_leaf() {
+        igep_step_count(&SumSpec, 1500, 64);
     }
 
     #[test]

@@ -62,11 +62,12 @@ impl<T: Copy> Matrix<T> {
     }
 
     /// Builds a matrix that embeds `self` into an `n x n` matrix with
-    /// `n = max(next_pow2(rows), next_pow2(cols))`, padding with `pad`.
+    /// `n = fit_side(max(rows, cols), base)`, padding with `pad`.
     ///
-    /// Used to satisfy the paper's `n = 2^q` assumption for arbitrary inputs.
-    pub fn padded(&self, pad: T) -> Matrix<T> {
-        let n = crate::next_pow2(self.rows.max(self.cols));
+    /// The result is a side the I-GEP engines run with leaves of side
+    /// `<= base` (see [`crate::fit_side`]).
+    pub fn padded(&self, pad: T, base: usize) -> Matrix<T> {
+        let n = crate::fit_side(self.rows.max(self.cols), base);
         let mut out = Matrix::square(n, pad);
         for i in 0..self.rows {
             out.data[i * n..i * n + self.cols]
@@ -286,7 +287,7 @@ mod tests {
     #[test]
     fn padding_roundtrip() {
         let m = Matrix::from_fn(3, 5, |i, j| (i * 5 + j) as i32);
-        let p = m.padded(-1);
+        let p = m.padded(-1, 64);
         assert_eq!(p.n(), 8);
         assert_eq!(p[(2, 4)], 14);
         assert_eq!(p[(3, 0)], -1);

@@ -18,9 +18,12 @@
 //! * [`layout`] — address maps `(i, j) -> linear address` for the cache
 //!   simulator, covering row-major, column-major and Morton-tiled layouts.
 //!
-//! All square-matrix routines in the workspace assume power-of-two sides at
-//! the recursion level (the paper's `n = 2^q` convention); [`Matrix::padded`]
-//! and [`next_pow2`] help embed arbitrary sizes.
+//! The paper states its recursions for `n = 2^q`. The in-core I-GEP
+//! engines accept any side that halves exactly down to a leaf `<= base`
+//! ([`halves_to_leaf`]); [`fit_side`] picks the smallest such side for an
+//! arbitrary size, and [`Matrix::padded`] embeds a matrix into it. The
+//! other routines (C-GEP, tiled layouts, out-of-core) stay on
+//! [`next_pow2`] sides.
 
 pub mod dense;
 pub mod layout;
@@ -45,6 +48,38 @@ pub fn next_pow2(n: usize) -> usize {
     n.max(1).next_power_of_two()
 }
 
+/// The smallest side `m >= n` of the form `b'·2^q` with `b'` a multiple
+/// of 8 in `(base/2, base]`, capped at [`next_pow2`]`(n)`.
+///
+/// Halving such an `m` lands exactly on leaves of side `b'`, so the
+/// I-GEP engines run it with the same `base` and the same Figure 2
+/// recursion as a power-of-two side; only the leaf side changes. A
+/// power of two `n >= base` maps to itself, and a `base` with no
+/// multiple of 8 in range (`base < 8`) gives `next_pow2(n)`.
+///
+/// # Panics
+/// Panics if the result would overflow `usize`.
+pub fn fit_side(n: usize, base: usize) -> usize {
+    (base / 2 + 1..=base)
+        .filter(|b| b % 8 == 0)
+        .map(|b| b * next_pow2(n.div_ceil(b)))
+        .fold(next_pow2(n), usize::min)
+}
+
+/// True if halving `n` stays exact until the side is `<= base`: the
+/// sides the in-core I-GEP engines accept (`n = leaf·2^q`, `leaf <=
+/// base`). Every power of two qualifies, as does every [`fit_side`].
+pub fn halves_to_leaf(n: usize, base: usize) -> bool {
+    let mut s = n;
+    while s > base {
+        if s % 2 == 1 {
+            return false;
+        }
+        s /= 2;
+    }
+    true
+}
+
 /// True if `n` is a power of two (and nonzero).
 #[inline]
 pub fn is_pow2(n: usize) -> bool {
@@ -64,6 +99,51 @@ mod tests {
         assert_eq!(next_pow2(5), 8);
         assert_eq!(next_pow2(1024), 1024);
         assert_eq!(next_pow2(1025), 2048);
+    }
+
+    #[test]
+    fn fit_side_fits_leaves() {
+        assert_eq!(fit_side(1501, 64), 1536); // 48·32
+        assert_eq!(fit_side(1500, 64), 1536);
+        assert_eq!(fit_side(160, 32), 192); // 24·8
+        assert_eq!(fit_side(160, 64), 160); // 40·4
+        assert_eq!(fit_side(600, 64), 640); // 40·16
+        assert_eq!(fit_side(0, 64), 1);
+        assert_eq!(fit_side(5, 64), 8);
+        for base in [8usize, 16, 32, 48, 64, 100, 128] {
+            for q in 0..12 {
+                let p = 1usize << q;
+                if p >= base {
+                    assert_eq!(fit_side(p, base), p, "pow2 {p} base {base}");
+                }
+            }
+            for n in 0..3000 {
+                let m = fit_side(n, base);
+                assert!(
+                    m >= n.max(1) && m <= next_pow2(n),
+                    "n={n} base={base} m={m}"
+                );
+                assert!(halves_to_leaf(m, base), "n={n} base={base} m={m}");
+            }
+        }
+        // No multiple of 8 in (base/2, base]: the power-of-two rule.
+        for base in 1..8 {
+            for n in [3usize, 100, 1501] {
+                assert_eq!(fit_side(n, base), next_pow2(n), "n={n} base={base}");
+            }
+        }
+    }
+
+    #[test]
+    fn halves_to_leaf_basics() {
+        assert!(halves_to_leaf(1536, 64));
+        assert!(halves_to_leaf(160, 32));
+        assert!(halves_to_leaf(1024, 1));
+        assert!(halves_to_leaf(3, 64));
+        assert!(!halves_to_leaf(1500, 64));
+        assert!(!halves_to_leaf(3, 1));
+        assert!(halves_to_leaf(96, 16)); // 96 → 48 → 24 → 12
+        assert!(!halves_to_leaf(200, 16)); // 200 → 100 → 50 → 25
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub mod span;
 pub use cgep_par::cgep_parallel;
 
 use gep_core::{BoxShape, GepMat, GepSpec, Joiner};
-use gep_matrix::Matrix;
+use gep_matrix::{halves_to_leaf, Matrix};
 
 /// Rayon-backed joiner: `join` maps to [`rayon::join`].
 ///
@@ -56,7 +56,9 @@ impl Joiner for RayonJoiner {
 /// computation is deterministic).
 ///
 /// # Panics
-/// Panics unless `c` is square with a power-of-two side.
+/// Panics unless `c` is square with a side that halves exactly down to
+/// leaves of side `<= base_size` (a power of two, or a
+/// [`gep_matrix::fit_side`] for the same base).
 pub fn igep_parallel<S>(spec: &S, c: &mut Matrix<S::Elem>, base_size: usize)
 where
     S: GepSpec + Sync,
@@ -97,7 +99,8 @@ pub fn matmul_parallel<A: gep_kernels::AlgebraKernels>(
 /// [`igep_parallel`].
 ///
 /// # Panics
-/// Panics unless `c` is square with a power-of-two side.
+/// Panics unless `c` is square with a side that halves exactly down to
+/// leaves of side `<= base_size`.
 pub fn igep_parallel_simple<S>(spec: &S, c: &mut Matrix<S::Elem>, base_size: usize)
 where
     S: GepSpec + Sync,
@@ -106,8 +109,11 @@ where
     if n == 0 {
         return; // Σ ⊆ [0,0)³ is empty — match gep_iterative's no-op.
     }
-    assert!(n.is_power_of_two(), "I-GEP needs a power-of-two side");
     assert!(base_size >= 1);
+    assert!(
+        halves_to_leaf(n, base_size),
+        "I-GEP needs side = leaf·power-of-two with leaf <= base"
+    );
     let m = GepMat::new(c);
     // SAFETY: exclusive borrow of `c`; the two concurrent calls write the
     // disjoint quadrants X12 and X21 and read only X11/X22 + panels none
@@ -240,6 +246,36 @@ mod tests {
         let mut par = init.clone();
         with_threads(4, || igep_parallel(&GaussianSpec, &mut par, 8));
         assert_eq!(par, seq);
+    }
+
+    /// A side of `20·8` with base 32 runs bitwise equal to the serial engine
+    /// under both parallel schedules.
+    #[test]
+    fn parallel_fitted_side_matches_sequential_bitwise() {
+        let (n, base) = (160, 32);
+        let init = random_dist(n, 160);
+        let mut seq = init.clone();
+        igep_opt(&FwSpec::<i64>::new(), &mut seq, base);
+        let mut par = init.clone();
+        with_threads(2, || igep_parallel(&FwSpec::<i64>::new(), &mut par, base));
+        assert_eq!(par, seq);
+        let mut simple = init.clone();
+        with_threads(2, || {
+            igep_parallel_simple(&FwSpec::<i64>::new(), &mut simple, base)
+        });
+        assert_eq!(simple, seq);
+    }
+
+    #[test]
+    #[should_panic(expected = "power-of-two")]
+    fn parallel_rejects_side_that_does_not_halve_to_a_leaf() {
+        igep_parallel(&FwSpec::<i64>::new(), &mut Matrix::square(1500, 0), 64);
+    }
+
+    #[test]
+    #[should_panic(expected = "power-of-two")]
+    fn parallel_simple_rejects_side_that_does_not_halve_to_a_leaf() {
+        igep_parallel_simple(&FwSpec::<i64>::new(), &mut Matrix::square(1500, 0), 64);
     }
 
     #[test]

@@ -35,7 +35,7 @@ use std::time::Instant;
 
 use gep_apps::floyd_warshall::{relax_edge, tight_path, FwSpec, InEdges};
 use gep_core::abcd::igep_opt;
-use gep_matrix::{next_pow2, Matrix};
+use gep_matrix::{fit_side, Matrix};
 
 use crate::graph::{apply_mutations, check_weight, check_weights};
 use crate::metrics::ServeMetrics;
@@ -49,7 +49,7 @@ pub const SOLVE_BASE_SIZE: usize = 32;
 pub struct Solved {
     /// Epoch number, strictly increasing from 1 per cache.
     pub epoch: u64,
-    /// Logical vertex count (the matrix is padded to a power of two).
+    /// Logical vertex count (the matrix is padded to a fitted side).
     n: usize,
     /// The distance-only solve, padded side: 8 bytes per cell.
     dist: Matrix<i64>,
@@ -103,11 +103,11 @@ impl Solved {
     }
 }
 
-/// The solver's input for an `n`-vertex base matrix: padded to a power
-/// of two, zero diagonal, unreachable padding.
+/// The solver's input for an `n`-vertex base matrix: padded to
+/// `fit_side(n, SOLVE_BASE_SIZE)`, zero diagonal, unreachable padding.
 fn padded(base: &Matrix<i64>) -> Matrix<i64> {
     let n = base.n();
-    let side = next_pow2(n.max(1));
+    let side = fit_side(n, SOLVE_BASE_SIZE);
     Matrix::from_fn(side, side, |i, j| {
         if i == j {
             0
@@ -887,6 +887,40 @@ mod tests {
         assert_eq!((stats.resolves, stats.incremental), (1, 1));
         let hists = cache.metrics().histograms();
         assert_eq!(hists["serve.update_ns"].count(), 1);
+        cache.stop();
+    }
+
+    /// n = 600 pads to the fitted side 768 (`24·32`), not 1024: the
+    /// first full solve and a `relax_edge` epoch both match `fw_reference`.
+    #[test]
+    fn fitted_side_solve_and_relax_epoch_match_reference() {
+        let n = 600;
+        let mut graph = random_graph(n, 12);
+        let cache = ApspCache::new(graph.clone());
+        let matches_reference = |snap: &Solved, graph: &Matrix<i64>| {
+            let oracle = fw_reference(graph);
+            for i in 0..n {
+                for j in 0..n {
+                    let want = oracle.get(i, j).min(TROPICAL_INF);
+                    assert_eq!(snap.dist(i, j).unwrap_or(TROPICAL_INF), want, "({i},{j})");
+                }
+            }
+        };
+        let first = cache.snapshot();
+        assert_eq!(first.dist.n(), 768);
+        matches_reference(&first, &graph);
+        let (_, (a, b)) = tight_and_slack_edges(&graph, &first);
+        cache.mutate(&[(a, b, 0)]).unwrap();
+        cache.quiesce();
+        apply_mutations(&mut graph, &[(a, b, 0)]);
+        let snap = cache.snapshot();
+        assert_eq!(
+            (snap.epoch, snap.incremental),
+            (2, 1),
+            "relaxed, not re-solved"
+        );
+        assert_eq!(snap.dist, resolved(&graph));
+        matches_reference(&snap, &graph);
         cache.stop();
     }
 

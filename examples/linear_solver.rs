@@ -40,7 +40,7 @@ fn main() {
     }
 
     // 2. The same system through LU decomposition (packed in place).
-    let m = gep::matrix::next_pow2(n);
+    let m = gep::matrix::fit_side(n, 64);
     let mut packed = Matrix::from_fn(m, m, |i, j| {
         if i < n && j < n {
             a[(i, j)]

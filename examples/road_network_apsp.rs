@@ -9,7 +9,7 @@
 
 use gep::apps::floyd_warshall::{apsp, distance_matrix, tight_path, InEdges};
 use gep::core::TROPICAL_INF;
-use gep::matrix::next_pow2;
+use gep::matrix::fit_side;
 
 /// Builds a `side x side` grid road network: local streets between
 /// neighbours (weight 4–9), plus a few long "highways" (weight ~ distance).
@@ -60,15 +60,16 @@ fn main() {
     let (n, edges) = road_network(side);
     println!("road network: {n} junctions, {} road segments", edges.len());
 
-    // Build the distance matrix, pad to a power of two, solve.
+    // Build the distance matrix, pad to a side the recursion halves down
+    // to leaves of side <= 32, solve.
     let m = distance_matrix(n, &edges);
-    let mut padded = m.padded(TROPICAL_INF);
+    let mut padded = m.padded(TROPICAL_INF, 32);
     println!(
         "padded to {} x {} for the recursion",
         padded.n(),
         padded.n()
     );
-    assert_eq!(padded.n(), next_pow2(n));
+    assert_eq!(padded.n(), fit_side(n, 32));
     apsp(&mut padded, 32);
 
     // Route queries: walk tight edges of the unpadded network backward

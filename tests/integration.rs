@@ -217,7 +217,7 @@ fn full_generality_out_of_core() {
 fn distance_matrix_padding_pipeline() {
     let edges = [(0usize, 1, 2i64), (1, 2, 2), (2, 0, 2)];
     let d = distance_matrix::<i64>(3, &edges);
-    let mut padded = d.padded(TROPICAL_INF);
+    let mut padded = d.padded(TROPICAL_INF, 2);
     assert_eq!(padded.n(), 4);
     gep::apps::floyd_warshall::apsp(&mut padded, 2);
     assert_eq!(padded[(0, 2)], 4);

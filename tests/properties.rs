@@ -180,14 +180,15 @@ proptest! {
 
     /// Matrix padding/shrinking round-trips and leaves content intact.
     #[test]
-    fn pad_shrink_roundtrip(rows in 1usize..10, cols in 1usize..10, seed in any::<u64>()) {
+    fn pad_shrink_roundtrip(rows in 1usize..200, cols in 1usize..200, base in 1usize..80, seed in any::<u64>()) {
         let mut s = seed | 1;
         let m = Matrix::from_fn(rows, cols, |_, _| {
             s ^= s << 13; s ^= s >> 7; s ^= s << 17; (s % 1000) as i32
         });
-        let p = m.padded(-1);
-        prop_assert!(p.n().is_power_of_two());
+        let p = m.padded(-1, base);
+        prop_assert!(gep::matrix::halves_to_leaf(p.n(), base));
         prop_assert!(p.n() >= rows.max(cols));
+        prop_assert!(p.n() <= gep::matrix::next_pow2(rows.max(cols)));
         prop_assert_eq!(p.shrunk(rows, cols), m);
     }
 
