@@ -135,9 +135,11 @@ impl EliminationAlgebra for PlusTimesF64 {
     fn inv(a: f64) -> Option<f64> {
         (a != 0.0).then(|| 1.0 / a)
     }
-    /// `x - u * (v / w)`: the same operation order as the historical
-    /// Gaussian-elimination spec and the `gep-kernels` GE sweeps, so
-    /// engine results stay *bitwise* comparable with them.
+    /// `x - u * (v / w)`. This is *not* the operation order of the other
+    /// f64 elimination paths: `GaussianSpec::update` (the G oracle)
+    /// computes `x - (u * v) / w` and every `gep-kernels` GE kernel
+    /// computes `x - (u / w) * v`, so results agree with them to rounding,
+    /// not bitwise. Unifying the three orders is ROADMAP item 5.
     #[inline(always)]
     fn eliminate(x: f64, u: f64, v: f64, w: f64) -> f64 {
         x - u * (v / w)
