@@ -68,6 +68,9 @@ pub fn fig12(n: usize, threads: &[usize], reps: usize) -> Vec<ScalingRow> {
         apps.push(ScalingRow { app, points });
     }
 
+    // Beyond the host's cores the threads time-slice, so T₁/Tₚ there says
+    // nothing about the schedule; the table leaves it out (JSON keeps it).
+    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
     let mut rows = vec![];
     for row in &apps {
         for &(p, secs, sp) in &row.points {
@@ -75,7 +78,11 @@ pub fn fig12(n: usize, threads: &[usize], reps: usize) -> Vec<ScalingRow> {
                 row.app.to_string(),
                 p.to_string(),
                 fmt_secs(secs),
-                format!("{sp:.2}x"),
+                if p <= cores {
+                    format!("{sp:.2}x")
+                } else {
+                    "not measured".to_string()
+                },
                 // Predicted greedy-bound speedup for this schedule.
                 format!("{:.2}x", predicted_speedup(row.app, n, p)),
             ]);

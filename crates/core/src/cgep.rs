@@ -22,10 +22,15 @@
 //! matrix — reads whose snapshot is never saved (τ undefined) therefore
 //! see the initial value, as required. Extra space: 4n² cells; time and
 //! I/O bounds are those of I-GEP.
+//!
+//! The recursion is I-GEP's: [`cgep_full_with`] is a visitor of
+//! [`walk_leaves`] whose leaf body is `run_leaf` below.
 
 use crate::spec::GepSpec;
 use crate::store::CellStore;
+use crate::walk::{walk_leaves, Cube};
 use gep_matrix::Matrix;
+use std::ops::ControlFlow;
 
 /// Runs C-GEP (Figure 3) on `c`, allocating the four snapshot matrices
 /// internally (in-core convenience wrapper over [`cgep_full_with`]).
@@ -75,8 +80,8 @@ pub fn cgep_full_with<S, St>(
     if n == 0 {
         return; // Σ ⊆ [0,0)³ is empty — match gep_iterative's no-op.
     }
+    // The walker also takes fitted sides; see ROADMAP.md, "One side rule".
     assert!(n.is_power_of_two(), "C-GEP needs a power-of-two side");
-    assert!(base_size >= 1);
     assert!(u0.n() == n && u1.n() == n && v0.n() == n && v1.n() == n);
     if init_aux {
         u0.copy_from_store(c);
@@ -84,125 +89,104 @@ pub fn cgep_full_with<S, St>(
         v0.copy_from_store(c);
         v1.copy_from_store(c);
     }
-    let mut env = Env {
-        spec,
-        n,
-        base: base_size,
-    };
-    env.h_rec(c, u0, u1, v0, v1, 0, 0, 0, n);
+    let (mut leaves, mut updates) = (0, 0);
+    let calls = walk_leaves(spec, Cube::root(n), base_size, &mut |leaf| {
+        leaves += 1;
+        updates += run_leaf(spec, c, u0, u1, v0, v1, leaf, |i, j, k| {
+            i > k || (i == k && j > k)
+        });
+        ControlFlow::Continue(())
+    });
+    gep_obs::counter_add("cgep.calls", calls);
+    gep_obs::counter_add("cgep.base_cases", leaves);
+    gep_obs::counter_add("cgep.updates", updates);
 }
 
-struct Env<'s, S> {
-    spec: &'s S,
-    n: usize,
-    base: usize,
-}
-
-impl<S: GepSpec> Env<'_, S> {
-    /// Applies one update `⟨i,j,k⟩` with snapshot reads and saves
-    /// (lines 2–8 of Figure 3, 0-based).
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    fn apply<St: CellStore<S::Elem> + ?Sized>(
-        &mut self,
-        c: &mut St,
-        u0: &mut St,
-        u1: &mut St,
-        v0: &mut St,
-        v1: &mut St,
-        i: usize,
-        j: usize,
-        k: usize,
-    ) {
-        let x = c.read(i, j);
-        let u = if j > k { u1.read(i, k) } else { u0.read(i, k) };
-        let v = if i > k { v1.read(k, j) } else { v0.read(k, j) };
-        let w = if i > k || (i == k && j > k) {
-            u1.read(k, k)
-        } else {
-            u0.read(k, k)
-        };
-        let nv = self.spec.update(i, j, k, x, u, v, w);
-        c.write(i, j, nv);
-        // Snapshot saves (τ tests of lines 5–8).
-        let n = self.n;
-        if Some(k) == self.spec.tau(n, i, j, j as i64 - 1) {
-            u0.write(i, j, nv);
-        }
-        if Some(k) == self.spec.tau(n, i, j, j as i64) {
-            u1.write(i, j, nv);
-        }
-        if Some(k) == self.spec.tau(n, i, j, i as i64 - 1) {
-            v0.write(i, j, nv);
-        }
-        if Some(k) == self.spec.tau(n, i, j, i as i64) {
-            v1.write(i, j, nv);
-        }
-    }
-
-    /// The recursion `H` (identical structure to I-GEP's `F`).
-    #[allow(clippy::too_many_arguments)]
-    fn h_rec<St: CellStore<S::Elem> + ?Sized>(
-        &mut self,
-        c: &mut St,
-        u0: &mut St,
-        u1: &mut St,
-        v0: &mut St,
-        v1: &mut St,
-        i0: usize,
-        j0: usize,
-        k0: usize,
-        s: usize,
-    ) {
-        if !self
-            .spec
-            .sigma_intersects((i0, i0 + s - 1), (j0, j0 + s - 1), (k0, k0 + s - 1))
-        {
-            return;
-        }
-        gep_obs::counter_add("cgep.calls", 1);
-        let _span = gep_obs::span("H", "cgep")
-            .arg("i0", i0 as i64)
-            .arg("j0", j0 as i64)
-            .arg("k0", k0 as i64)
-            .arg("s", s as i64);
-        if s <= self.base {
-            if gep_obs::enabled() {
-                gep_obs::counter_add("cgep.base_cases", 1);
-                gep_obs::counter_add(
-                    "cgep.updates",
-                    crate::iterative::sigma_count_box(
-                        self.spec,
-                        (i0, i0 + s - 1),
-                        (j0, j0 + s - 1),
-                        (k0, k0 + s - 1),
-                    ),
-                );
-            }
-            // Iterative base-case kernel with snapshot bookkeeping
-            // (k-major order, as in G).
-            for k in k0..k0 + s {
-                for i in i0..i0 + s {
-                    for j in j0..j0 + s {
-                        if self.spec.in_sigma(i, j, k) {
-                            self.apply(c, u0, u1, v0, v1, i, j, k);
-                        }
-                    }
+/// Calls `update(i, j, k)` on each triple of Σ in `leaf`, k-major as in
+/// G, and returns how many there were: the loop of every C-GEP leaf.
+pub(crate) fn for_each_in_leaf<S: GepSpec>(
+    spec: &S,
+    leaf: Cube,
+    mut update: impl FnMut(usize, usize, usize),
+) -> u64 {
+    let Cube { i0, j0, k0, s } = leaf;
+    let mut count = 0;
+    for k in k0..k0 + s {
+        for i in i0..i0 + s {
+            for j in j0..j0 + s {
+                if spec.in_sigma(i, j, k) {
+                    update(i, j, k);
+                    count += 1;
                 }
             }
-            return;
         }
-        let h = s / 2;
-        // Forward pass.
-        self.h_rec(c, u0, u1, v0, v1, i0, j0, k0, h);
-        self.h_rec(c, u0, u1, v0, v1, i0, j0 + h, k0, h);
-        self.h_rec(c, u0, u1, v0, v1, i0 + h, j0, k0, h);
-        self.h_rec(c, u0, u1, v0, v1, i0 + h, j0 + h, k0, h);
-        // Backward pass.
-        self.h_rec(c, u0, u1, v0, v1, i0 + h, j0 + h, k0 + h, h);
-        self.h_rec(c, u0, u1, v0, v1, i0 + h, j0, k0 + h, h);
-        self.h_rec(c, u0, u1, v0, v1, i0, j0 + h, k0 + h, h);
-        self.h_rec(c, u0, u1, v0, v1, i0, j0, k0 + h, h);
+    }
+    count
+}
+
+/// One leaf of `H`: every update of Σ in `leaf` with snapshot reads and
+/// saves; returns the number applied. `w_from_u1(i, j, k)` is the
+/// Iverson bracket of the `w` read — Figure 3's is
+/// `i > k ∨ (i = k ∧ j > k)`; the `verify` fixture plants a wrong one.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_leaf<S, St>(
+    spec: &S,
+    c: &mut St,
+    u0: &mut St,
+    u1: &mut St,
+    v0: &mut St,
+    v1: &mut St,
+    leaf: Cube,
+    w_from_u1: impl Fn(usize, usize, usize) -> bool,
+) -> u64
+where
+    S: GepSpec,
+    St: CellStore<S::Elem> + ?Sized,
+{
+    for_each_in_leaf(spec, leaf, |i, j, k| {
+        let w1 = w_from_u1(i, j, k);
+        apply(spec, c, u0, u1, v0, v1, i, j, k, w1);
+    })
+}
+
+/// Applies one update `⟨i,j,k⟩` with snapshot reads and saves
+/// (lines 2–8 of Figure 3, 0-based); `w1` picks `u1[k,k]` over `u0[k,k]`.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+fn apply<S, St>(
+    spec: &S,
+    c: &mut St,
+    u0: &mut St,
+    u1: &mut St,
+    v0: &mut St,
+    v1: &mut St,
+    i: usize,
+    j: usize,
+    k: usize,
+    w1: bool,
+) where
+    S: GepSpec,
+    St: CellStore<S::Elem> + ?Sized,
+{
+    let x = c.read(i, j);
+    let u = if j > k { u1.read(i, k) } else { u0.read(i, k) };
+    let v = if i > k { v1.read(k, j) } else { v0.read(k, j) };
+    let w = if w1 { u1.read(k, k) } else { u0.read(k, k) };
+    let nv = spec.update(i, j, k, x, u, v, w);
+    c.write(i, j, nv);
+    // Snapshot saves (τ tests of lines 5–8).
+    let n = c.n();
+    if Some(k) == spec.tau(n, i, j, j as i64 - 1) {
+        u0.write(i, j, nv);
+    }
+    if Some(k) == spec.tau(n, i, j, j as i64) {
+        u1.write(i, j, nv);
+    }
+    if Some(k) == spec.tau(n, i, j, i as i64 - 1) {
+        v0.write(i, j, nv);
+    }
+    if Some(k) == spec.tau(n, i, j, i as i64) {
+        v1.write(i, j, nv);
     }
 }
 

@@ -25,11 +25,13 @@
 //! footprint, which is why Figure 9 shows it slower than the `4n²`
 //! variant.
 
+use crate::cgep::for_each_in_leaf;
 use crate::spec::GepSpec;
 use crate::store::CellStore;
-use gep_matrix::Matrix;
+use crate::walk::{walk_leaves, Cube};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
+use std::ops::ControlFlow;
 
 /// Multiplicative hasher for the already-well-mixed `u64` slot keys —
 /// the snapshot maps are on the per-update hot path, where SipHash would
@@ -261,6 +263,22 @@ impl<S: GepSpec> SnapStore<'_, S> {
         }
         val
     }
+
+    /// Applies one update `⟨i,j,k⟩`, reading `u`, `v`, `w` through the
+    /// Figure 3 slots and copying out the state it destroys.
+    #[inline]
+    fn apply<St: CellStore<S::Elem> + ?Sized>(&mut self, c: &mut St, i: usize, j: usize, k: usize) {
+        let x = c.read(i, j);
+        let u = self.consume(c, if j > k { U1 } else { U0 }, i, k);
+        let v = self.consume(c, if i > k { V1 } else { V0 }, k, j);
+        let w = self.consume(c, if i > k || (i == k && j > k) { U1 } else { U0 }, k, k);
+        let nv = self.spec.update(i, j, k, x, u, v, w);
+        // This write destroys the state "after tau(i, j, k-1)" of (i, j);
+        // copy it out for any slot that still needs it.
+        let tau_prev = self.spec.tau(self.n, i, j, k as i64 - 1);
+        self.on_destroy(i, j, x, tau_prev);
+        c.write(i, j, nv);
+    }
 }
 
 /// Runs reduced-space C-GEP on `c`; equivalent to [`crate::cgep_full`]
@@ -281,27 +299,32 @@ where
         // Σ ⊆ [0,0)³ is empty: nothing to do, nothing ever live.
         return ReducedSpaceStats::default();
     }
+    // The walker also takes fitted sides; see ROADMAP.md, "One side rule".
     assert!(n.is_power_of_two(), "C-GEP needs a power-of-two side");
-    assert!(base_size >= 1);
-    let mut env = Env {
-        base: base_size,
-        snaps: SnapStore {
-            spec,
-            n,
-            counts: vec![UNKNOWN; 4 * n * n],
-            live: SlotMap::default(),
-            peak: 0,
-            saves: 0,
-            reads: 0,
-            reads_from_cell: 0,
-        },
+    let mut snaps = SnapStore {
+        spec,
+        n,
+        counts: vec![UNKNOWN; 4 * n * n],
+        live: SlotMap::default(),
+        peak: 0,
+        saves: 0,
+        reads: 0,
+        reads_from_cell: 0,
     };
-    env.h_rec(c, 0, 0, 0, n);
+    let (mut leaves, mut updates) = (0, 0);
+    let calls = walk_leaves(spec, Cube::root(n), base_size, &mut |leaf| {
+        leaves += 1;
+        updates += for_each_in_leaf(spec, leaf, |i, j, k| snaps.apply(c, i, j, k));
+        ControlFlow::Continue(())
+    });
+    gep_obs::counter_add("cgep_reduced.calls", calls);
+    gep_obs::counter_add("cgep_reduced.base_cases", leaves);
+    gep_obs::counter_add("cgep_reduced.updates", updates);
     debug_assert!(
-        env.snaps.live.is_empty(),
+        snaps.live.is_empty(),
         "snapshots left live after the run ({:?}): reader accounting \
          incomplete; {}",
-        env.snaps
+        snaps
             .live
             .keys()
             .map(|&k| {
@@ -315,117 +338,24 @@ where
         dump_sigma(spec, n)
     );
     debug_assert!(
-        env.snaps.peak <= n * n + n,
+        snaps.peak <= n * n + n,
         "peak live snapshots {} exceeds the paper's §2.2.2 bound n²+n = {}; {}",
-        env.snaps.peak,
+        snaps.peak,
         n * n + n,
         dump_sigma(spec, n)
     );
     if gep_obs::enabled() {
-        gep_obs::counter_add("cgep_reduced.saves", env.snaps.saves);
-        gep_obs::counter_add("cgep_reduced.snapshot_reads", env.snaps.reads);
-        gep_obs::counter_add("cgep_reduced.reads_from_cell", env.snaps.reads_from_cell);
-        gep_obs::gauge_set("cgep_reduced.peak_live_snapshots", env.snaps.peak as f64);
+        gep_obs::counter_add("cgep_reduced.saves", snaps.saves);
+        gep_obs::counter_add("cgep_reduced.snapshot_reads", snaps.reads);
+        gep_obs::counter_add("cgep_reduced.reads_from_cell", snaps.reads_from_cell);
+        gep_obs::gauge_set("cgep_reduced.peak_live_snapshots", snaps.peak as f64);
     }
     ReducedSpaceStats {
-        peak_live_snapshots: env.snaps.peak,
-        saves: env.snaps.saves,
-        reads: env.snaps.reads,
-        reads_from_cell: env.snaps.reads_from_cell,
+        peak_live_snapshots: snaps.peak,
+        saves: snaps.saves,
+        reads: snaps.reads,
+        reads_from_cell: snaps.reads_from_cell,
         claimed_bound: n * n + n,
-    }
-}
-
-/// Convenience wrapper for in-core matrices.
-pub fn cgep_reduced_matrix<S>(
-    spec: &S,
-    c: &mut Matrix<S::Elem>,
-    base_size: usize,
-) -> ReducedSpaceStats
-where
-    S: GepSpec,
-{
-    cgep_reduced(spec, c, base_size)
-}
-
-struct Env<'s, S: GepSpec> {
-    base: usize,
-    snaps: SnapStore<'s, S>,
-}
-
-impl<S: GepSpec> Env<'_, S> {
-    #[inline]
-    fn apply<St: CellStore<S::Elem> + ?Sized>(&mut self, c: &mut St, i: usize, j: usize, k: usize) {
-        let spec = self.snaps.spec;
-        let n = self.snaps.n;
-        let x = c.read(i, j);
-        let u = self.snaps.consume(c, if j > k { U1 } else { U0 }, i, k);
-        let v = self.snaps.consume(c, if i > k { V1 } else { V0 }, k, j);
-        let w = self
-            .snaps
-            .consume(c, if i > k || (i == k && j > k) { U1 } else { U0 }, k, k);
-        let nv = spec.update(i, j, k, x, u, v, w);
-        // This write destroys the state "after tau(i, j, k-1)" of (i, j);
-        // copy it out for any slot that still needs it.
-        let tau_prev = spec.tau(n, i, j, k as i64 - 1);
-        self.snaps.on_destroy(i, j, x, tau_prev);
-        c.write(i, j, nv);
-    }
-
-    fn h_rec<St: CellStore<S::Elem> + ?Sized>(
-        &mut self,
-        c: &mut St,
-        i0: usize,
-        j0: usize,
-        k0: usize,
-        s: usize,
-    ) {
-        if !self
-            .snaps
-            .spec
-            .sigma_intersects((i0, i0 + s - 1), (j0, j0 + s - 1), (k0, k0 + s - 1))
-        {
-            return;
-        }
-        gep_obs::counter_add("cgep_reduced.calls", 1);
-        let _span = gep_obs::span("H", "cgep_reduced")
-            .arg("i0", i0 as i64)
-            .arg("j0", j0 as i64)
-            .arg("k0", k0 as i64)
-            .arg("s", s as i64);
-        if s <= self.base {
-            if gep_obs::enabled() {
-                gep_obs::counter_add("cgep_reduced.base_cases", 1);
-                gep_obs::counter_add(
-                    "cgep_reduced.updates",
-                    crate::iterative::sigma_count_box(
-                        self.snaps.spec,
-                        (i0, i0 + s - 1),
-                        (j0, j0 + s - 1),
-                        (k0, k0 + s - 1),
-                    ),
-                );
-            }
-            for k in k0..k0 + s {
-                for i in i0..i0 + s {
-                    for j in j0..j0 + s {
-                        if self.snaps.spec.in_sigma(i, j, k) {
-                            self.apply(c, i, j, k);
-                        }
-                    }
-                }
-            }
-            return;
-        }
-        let h = s / 2;
-        self.h_rec(c, i0, j0, k0, h);
-        self.h_rec(c, i0, j0 + h, k0, h);
-        self.h_rec(c, i0 + h, j0, k0, h);
-        self.h_rec(c, i0 + h, j0 + h, k0, h);
-        self.h_rec(c, i0 + h, j0 + h, k0 + h, h);
-        self.h_rec(c, i0 + h, j0, k0 + h, h);
-        self.h_rec(c, i0, j0 + h, k0 + h, h);
-        self.h_rec(c, i0, j0, k0 + h, h);
     }
 }
 
@@ -434,6 +364,7 @@ mod tests {
     use super::*;
     use crate::iterative::gep_iterative;
     use crate::spec::{ClosureSpec, ExplicitSet, SumSpec};
+    use gep_matrix::Matrix;
 
     #[test]
     fn counterexample_fixed_by_reduced_cgep() {

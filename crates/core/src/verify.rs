@@ -17,11 +17,14 @@
 //! with one line. The `gep` facade crate extends the registry with the
 //! multithreaded engines; `gep-bench`'s `diffcheck` binary is the CLI.
 
+use crate::cgep::run_leaf;
 use crate::spec::{ClosureSpec, ExplicitSet, GepSpec};
 use crate::trace::UpdateRecord;
+use crate::walk::{walk_leaves, Cube};
 use gep_matrix::Matrix;
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::ControlFlow;
 use std::sync::Mutex;
 
 /// A spec wrapper that records every applied update, usable from
@@ -729,6 +732,10 @@ pub fn minimize(
 /// before it. Any Σ containing `⟨k,j,k⟩, j ≤ k` together with an update
 /// `⟨k,k,k'⟩, k' ≤ k` that changes the pivot will diverge.
 ///
+/// It walks the same leaves as [`crate::cgep_full`] and runs C-GEP's own
+/// leaf body — the same snapshot reads and τ saves — with only that
+/// bracket swapped.
+///
 /// Kept (deliberately broken, never exported to `prelude`) as the harness
 /// fixture: tests and the `diffcheck demo` subcommand run it through
 /// [`diff_engine`] to prove divergence localization and minimization work.
@@ -740,75 +747,19 @@ where
     if n == 0 {
         return;
     }
+    // The walker also takes fitted sides; see ROADMAP.md, "One side rule".
     assert!(n.is_power_of_two(), "C-GEP needs a power-of-two side");
-    assert!(base_size >= 1);
     let mut u0 = c.clone();
     let mut u1 = c.clone();
     let mut v0 = c.clone();
     let mut v1 = c.clone();
-    buggy_rec(
-        spec, c, &mut u0, &mut u1, &mut v0, &mut v1, 0, 0, 0, n, base_size, n,
-    );
-}
-
-#[allow(clippy::too_many_arguments)]
-fn buggy_rec<S: GepSpec>(
-    spec: &S,
-    c: &mut Matrix<S::Elem>,
-    u0: &mut Matrix<S::Elem>,
-    u1: &mut Matrix<S::Elem>,
-    v0: &mut Matrix<S::Elem>,
-    v1: &mut Matrix<S::Elem>,
-    i0: usize,
-    j0: usize,
-    k0: usize,
-    s: usize,
-    base: usize,
-    n: usize,
-) {
-    if !spec.sigma_intersects((i0, i0 + s - 1), (j0, j0 + s - 1), (k0, k0 + s - 1)) {
-        return;
-    }
-    if s <= base {
-        for k in k0..k0 + s {
-            for i in i0..i0 + s {
-                for j in j0..j0 + s {
-                    if spec.in_sigma(i, j, k) {
-                        let x = c[(i, j)];
-                        let u = if j > k { u1[(i, k)] } else { u0[(i, k)] };
-                        let v = if i > k { v1[(k, j)] } else { v0[(k, j)] };
-                        // BUG (planted): `i >= k` replaces the Figure 3
-                        // bracket `i > k ∨ (i = k ∧ j > k)`.
-                        let w = if i >= k { u1[(k, k)] } else { u0[(k, k)] };
-                        let nv = spec.update(i, j, k, x, u, v, w);
-                        c[(i, j)] = nv;
-                        if Some(k) == spec.tau(n, i, j, j as i64 - 1) {
-                            u0[(i, j)] = nv;
-                        }
-                        if Some(k) == spec.tau(n, i, j, j as i64) {
-                            u1[(i, j)] = nv;
-                        }
-                        if Some(k) == spec.tau(n, i, j, i as i64 - 1) {
-                            v0[(i, j)] = nv;
-                        }
-                        if Some(k) == spec.tau(n, i, j, i as i64) {
-                            v1[(i, j)] = nv;
-                        }
-                    }
-                }
-            }
-        }
-        return;
-    }
-    let h = s / 2;
-    buggy_rec(spec, c, u0, u1, v0, v1, i0, j0, k0, h, base, n);
-    buggy_rec(spec, c, u0, u1, v0, v1, i0, j0 + h, k0, h, base, n);
-    buggy_rec(spec, c, u0, u1, v0, v1, i0 + h, j0, k0, h, base, n);
-    buggy_rec(spec, c, u0, u1, v0, v1, i0 + h, j0 + h, k0, h, base, n);
-    buggy_rec(spec, c, u0, u1, v0, v1, i0 + h, j0 + h, k0 + h, h, base, n);
-    buggy_rec(spec, c, u0, u1, v0, v1, i0 + h, j0, k0 + h, h, base, n);
-    buggy_rec(spec, c, u0, u1, v0, v1, i0, j0 + h, k0 + h, h, base, n);
-    buggy_rec(spec, c, u0, u1, v0, v1, i0, j0, k0 + h, h, base, n);
+    // BUG (planted): `i >= k` replaces the Figure 3 bracket
+    // `i > k ∨ (i = k ∧ j > k)`.
+    let planted = |i: usize, _: usize, k: usize| i >= k;
+    walk_leaves(spec, Cube::root(n), base_size, &mut |leaf| {
+        run_leaf(spec, c, &mut u0, &mut u1, &mut v0, &mut v1, leaf, planted);
+        ControlFlow::Continue(())
+    });
 }
 
 /// [`Engine`] entry for [`cgep_full_buggy`] (marked fully general — the

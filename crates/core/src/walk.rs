@@ -8,7 +8,10 @@
 //! or replays the sequential recursion is a visitor of this one walk:
 //! [`crate::igep`] (the iterative kernel per leaf), [`crate::igep_resumable`]
 //! (the same, behind a skip-and-stop cursor), [`crate::igep_step_count`]
-//! (counts leaves) and the Lemma 3.1(b) schedule in `gep-bench` (pins each
+//! (counts leaves), C-GEP's `H` in [`crate::cgep_full_with`],
+//! [`crate::cgep_reduced`] and the planted-bug fixture
+//! [`crate::verify::cgep_full_buggy`] (the snapshot leaf body per leaf), and
+//! the Lemma 3.1(b) schedule in `gep-bench` (pins each
 //! leaf to a simulated processor). Because the visitor sees leaves before
 //! they run, the walk is also the lookahead an out-of-core prefetcher
 //! would read.
@@ -128,6 +131,8 @@ mod tests {
     use super::*;
     use crate::iterative::sigma_count_box;
     use crate::spec::{ClosureSpec, ExplicitSet, SumSpec};
+    use crate::verify::cgep_full_buggy;
+    use crate::{cgep_full, cgep_reduced};
     use crate::{igep, igep_opt, igep_resumable, igep_step_count, StepControl};
     use gep_matrix::Matrix;
     use gep_obs::Recorder;
@@ -187,8 +192,10 @@ mod tests {
     }
 
     /// The walk covers Σ exactly once: its leaves' Σ-counts sum to |Σ|,
-    /// there are as many as `igep_step_count` says, and `igep` records
-    /// one base case per leaf and one call per node entered.
+    /// there are as many as `igep_step_count` says, and every engine on
+    /// the walk — `igep`, and on power-of-two sides both C-GEPs — records
+    /// one call per node entered, one base case per leaf and one update
+    /// per triple of Σ.
     fn check_cover<S: GepSpec<Elem = i64>>(spec: &S, n: usize, base: usize, sigma: u64) {
         let (walked, nodes) = leaves(spec, n, base);
         let covered: u64 = walked
@@ -200,12 +207,26 @@ mod tests {
             .sum();
         assert_eq!(covered, sigma, "n={n} base={base}");
         assert_eq!(walked.len() as u64, igep_step_count(spec, n, base));
-        let ((), rec) = gep_obs::record(Recorder::counters_only(), || {
-            igep(spec, &mut input(n), base)
-        });
-        assert_eq!(rec.counter("igep.base_cases"), walked.len() as u64);
-        assert_eq!(rec.counter("igep.updates"), sigma);
-        assert_eq!(rec.counter("igep.calls"), nodes);
+        let record = |run: &dyn Fn()| gep_obs::record(Recorder::counters_only(), run).1;
+        let mut runs = vec![("igep", record(&|| igep(spec, &mut input(n), base)))];
+        if n.is_power_of_two() {
+            runs.push(("cgep", record(&|| cgep_full(spec, &mut input(n), base))));
+            runs.push((
+                "cgep_reduced",
+                record(&|| {
+                    cgep_reduced(spec, &mut input(n), base);
+                }),
+            ));
+        }
+        for (engine, rec) in runs {
+            let got =
+                ["calls", "base_cases", "updates"].map(|c| rec.counter(&format!("{engine}.{c}")));
+            assert_eq!(
+                got,
+                [nodes, walked.len() as u64, sigma],
+                "{engine} n={n} base={base}"
+            );
+        }
     }
 
     /// Power-of-two sides, and sides `leaf·2^q` with `leaf <= base`.
@@ -244,6 +265,27 @@ mod tests {
     #[should_panic(expected = "power-of-two")]
     fn rejects_side_that_does_not_halve_to_a_leaf() {
         igep_step_count(&SumSpec, 1500, 64);
+    }
+
+    // Side 12 with base 4 halves to leaves of 3, which the walk accepts
+    // (above); the C-GEP entry points still take only powers of two.
+
+    #[test]
+    #[should_panic(expected = "power-of-two")]
+    fn cgep_full_rejects_a_fitted_side() {
+        cgep_full(&SumSpec, &mut input(12), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "power-of-two")]
+    fn cgep_reduced_rejects_a_fitted_side() {
+        cgep_reduced(&SumSpec, &mut input(12), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "power-of-two")]
+    fn cgep_full_buggy_rejects_a_fitted_side() {
+        cgep_full_buggy(&SumSpec, &mut input(12), 4);
     }
 
     #[test]
