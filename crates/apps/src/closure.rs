@@ -65,6 +65,11 @@ impl<A: AlgebraKernels> GepSpec for SemiringSpec<A> {
     }
 
     #[inline(always)]
+    fn sigma_count(&self, ib: (usize, usize), jb: (usize, usize), kb: (usize, usize)) -> u64 {
+        gep_core::iterative::sigma_count_full(ib, jb, kb)
+    }
+
+    #[inline(always)]
     fn tau(&self, n: usize, _i: usize, _j: usize, l: i64) -> Option<usize> {
         (l >= 0 && n > 0).then(|| (l as usize).min(n - 1))
     }

@@ -43,6 +43,11 @@ impl GepSpec for GaussianSpec {
     }
 
     #[inline(always)]
+    fn sigma_count(&self, ib: (usize, usize), jb: (usize, usize), kb: (usize, usize)) -> u64 {
+        gep_core::iterative::sigma_count_elim(ib, jb, kb)
+    }
+
+    #[inline(always)]
     fn tau(&self, _n: usize, i: usize, j: usize, l: i64) -> Option<usize> {
         // ⟨i,j,k'⟩ ∈ Σ ⇔ k' < min(i, j); the largest such k' ≤ l is
         // min(l, i-1, j-1) when non-negative.

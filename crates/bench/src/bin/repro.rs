@@ -765,6 +765,7 @@ fn main() {
                     ("threads", inum(p as u64)),
                     ("seconds", fnum(secs)),
                     ("speedup", fnum(speedup)),
+                    ("measured", Json::Bool(fig12::measured(p))),
                     (
                         "predicted_speedup",
                         fnum(fig12::predicted_speedup(app.app, n, p)),

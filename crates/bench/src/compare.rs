@@ -211,6 +211,14 @@ fn metric_fields(row: &Json) -> Vec<(&str, f64)> {
         .collect()
 }
 
+/// `measured: false` marks a row whose thread count exceeds the host's
+/// hardware threads (fig12): its `speedup` times time-slicing, not
+/// scaling, so it is not compared. The flag itself is host context, never
+/// a metric.
+fn unmeasured(row: &Json) -> bool {
+    matches!(row.get("measured"), Some(Json::Bool(false)))
+}
+
 fn compare_metric(
     report: &mut CompareReport,
     what: String,
@@ -289,7 +297,11 @@ pub fn compare_docs(
             continue;
         };
         let cur_metrics: BTreeMap<&str, f64> = metric_fields(cur_row).into_iter().collect();
+        let skip_speedup = unmeasured(row) || unmeasured(cur_row);
         for (field, base_val) in metric_fields(row) {
+            if field == "measured" || (skip_speedup && field == "speedup") {
+                continue;
+            }
             match cur_metrics.get(field) {
                 Some(&cur_val) => compare_metric(
                     report,
@@ -536,6 +548,35 @@ mod tests {
         compare_docs("f", &base, &cur, false, &mut report);
         assert!(!report.has_regressions());
         assert_eq!(report.compared, 2);
+    }
+
+    #[test]
+    fn unmeasured_speedups_are_skipped() {
+        let row = |speedup: f64, measured: bool| {
+            vec![
+                ("app", Json::Str("FW".into())),
+                ("threads", Json::Int(8)),
+                ("speedup", Json::Float(speedup)),
+                ("predicted_speedup", Json::Float(5.0)),
+                ("measured", Json::Bool(measured)),
+            ]
+        };
+        let base = doc(vec![row(4.0, true)]);
+        // A host with fewer hardware threads: the collapsed speedup is
+        // not a regression, and the flag itself is not compared.
+        let cur = doc(vec![row(0.9, false)]);
+        let mut report = CompareReport::default();
+        compare_docs("f", &base, &cur, false, &mut report);
+        assert!(!report.has_regressions(), "{:?}", report.regressions);
+        assert_eq!(report.compared, 1, "only predicted_speedup is compared");
+        let mut report = CompareReport::default();
+        compare_docs("f", &cur, &base, false, &mut report);
+        assert!(!report.has_regressions(), "{:?}", report.regressions);
+        // Measured on both sides, the same drop gates.
+        let mut report = CompareReport::default();
+        compare_docs("f", &base, &doc(vec![row(0.9, true)]), false, &mut report);
+        assert_eq!(report.regressions.len(), 1, "{:?}", report.regressions);
+        assert!(report.regressions[0].detail.contains("speedup"));
     }
 
     #[test]

@@ -68,9 +68,6 @@ pub fn fig12(n: usize, threads: &[usize], reps: usize) -> Vec<ScalingRow> {
         apps.push(ScalingRow { app, points });
     }
 
-    // Beyond the host's cores the threads time-slice, so T₁/Tₚ there says
-    // nothing about the schedule; the table leaves it out (JSON keeps it).
-    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
     let mut rows = vec![];
     for row in &apps {
         for &(p, secs, sp) in &row.points {
@@ -78,7 +75,7 @@ pub fn fig12(n: usize, threads: &[usize], reps: usize) -> Vec<ScalingRow> {
                 row.app.to_string(),
                 p.to_string(),
                 fmt_secs(secs),
-                if p <= cores {
+                if measured(p) {
                     format!("{sp:.2}x")
                 } else {
                     "not measured".to_string()
@@ -104,6 +101,14 @@ pub fn fig12(n: usize, threads: &[usize], reps: usize) -> Vec<ScalingRow> {
     );
     println!("paper (8 threads, n=5000): MM 6.0x, FW 5.73x, GE 5.33x.");
     apps
+}
+
+/// Whether a `p`-thread speedup is measured on this host. Beyond its
+/// hardware threads the threads time-slice, so T₁/Tₚ there says nothing
+/// about the schedule: the table prints `not measured`, the JSON row
+/// carries `measured: false` and `repro compare` skips its `speedup`.
+pub fn measured(p: usize) -> bool {
+    p <= std::thread::available_parallelism().map_or(1, |c| c.get())
 }
 
 /// Greedy-bound speedup prediction per application: MM uses the `O(n)`

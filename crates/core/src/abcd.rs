@@ -124,20 +124,15 @@ fn pruned<S: GepSpec>(spec: &S, xr: usize, xc: usize, kk: usize, s: usize) -> bo
     !spec.sigma_intersects((xr, xr + s - 1), (xc, xc + s - 1), (kk, kk + s - 1))
 }
 
-/// Observability accounting for one base-case kernel invocation. The
-/// Σ-count scan is O(s³), hence the [`gep_obs::enabled`] gate.
+/// Observability accounting for one base-case kernel invocation, gated
+/// on [`gep_obs::enabled`] ([`GepSpec::sigma_count`] may scan the box).
 #[inline]
 fn record_base_case<S: GepSpec>(spec: &S, xr: usize, xc: usize, kk: usize, s: usize) {
     if gep_obs::enabled() {
         gep_obs::counter_add("abcd.base_cases", 1);
         gep_obs::counter_add(
             "abcd.updates",
-            crate::iterative::sigma_count_box(
-                spec,
-                (xr, xr + s - 1),
-                (xc, xc + s - 1),
-                (kk, kk + s - 1),
-            ),
+            spec.sigma_count((xr, xr + s - 1), (xc, xc + s - 1), (kk, kk + s - 1)),
         );
     }
 }

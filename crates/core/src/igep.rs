@@ -15,7 +15,7 @@
 //! variant (with the Figure 6 A/B/C/D specialisation) lives in
 //! [`crate::abcd`].
 
-use crate::iterative::{gep_iterative_box, sigma_count_box};
+use crate::iterative::gep_iterative_box;
 use crate::spec::GepSpec;
 use crate::store::CellStore;
 use crate::walk::{walk_leaves, Cube};
@@ -93,7 +93,7 @@ where
         return;
     }
     gep_obs::counter_add("igep.base_cases", 1);
-    gep_obs::counter_add("igep.updates", sigma_count_box(spec, i, j, k));
+    gep_obs::counter_add("igep.updates", spec.sigma_count(i, j, k));
     let start = Instant::now();
     gep_iterative_box(spec, c, i, j, k);
     gep_obs::hist_record("kernel.leaf_ns", start.elapsed().as_nanos() as u64);

@@ -68,12 +68,13 @@ pub fn gep_iterative_box<S, St>(
 }
 
 /// Number of updates `⟨i, j, k⟩ ∈ Σ` inside the inclusive box — what the
-/// base-case kernel above will apply there.
+/// base-case kernel above will apply there — by scanning it.
 ///
-/// Observability helper: the recursive engines report this per base case
-/// when a recorder is installed (the `*.updates` counters), and the golden
-/// tests check the totals against `n³` for full Σ. O(s³) per call, so the
-/// engines gate it on [`gep_obs::enabled`].
+/// The default [`GepSpec::sigma_count`]: the recursive engines report it
+/// per base case when a recorder is installed (the `*.updates` counters),
+/// and the golden tests check the totals against `n³` for full Σ. O(s³)
+/// per call; specs with a structured Σ override it with
+/// [`sigma_count_full`] or [`sigma_count_elim`].
 pub fn sigma_count_box<S>(
     spec: &S,
     ib: (usize, usize),
@@ -81,7 +82,7 @@ pub fn sigma_count_box<S>(
     kb: (usize, usize),
 ) -> u64
 where
-    S: GepSpec,
+    S: GepSpec + ?Sized,
 {
     let mut count = 0u64;
     for k in kb.0..=kb.1 {
@@ -94,6 +95,23 @@ where
         }
     }
     count
+}
+
+/// Length of an inclusive interval (0 when it is empty).
+fn span_len(b: (usize, usize)) -> u64 {
+    (b.1 + 1).saturating_sub(b.0) as u64
+}
+
+/// [`sigma_count_box`] in closed form for a full `Σ`: the box's volume.
+pub fn sigma_count_full(ib: (usize, usize), jb: (usize, usize), kb: (usize, usize)) -> u64 {
+    span_len(ib) * span_len(jb) * span_len(kb)
+}
+
+/// [`sigma_count_box`] for `Σ = {i > k ∧ j > k}`: per `k`, the rows above
+/// `k` times the columns above `k`, O(s) per box.
+pub fn sigma_count_elim(ib: (usize, usize), jb: (usize, usize), kb: (usize, usize)) -> u64 {
+    let above = |b: (usize, usize), k: usize| span_len((b.0.max(k + 1), b.1));
+    (kb.0..=kb.1).map(|k| above(ib, k) * above(jb, k)).sum()
 }
 
 #[cfg(test)]
@@ -143,6 +161,32 @@ mod tests {
         );
         assert_eq!(sigma_count_box(&spec, (0, 1), (0, 1), (0, 1)), 2);
         assert_eq!(sigma_count_box(&spec, (0, 0), (0, 0), (0, 0)), 0);
+    }
+
+    #[test]
+    fn closed_form_sigma_counts_match_the_scan() {
+        struct Elim;
+        impl GepSpec for Elim {
+            type Elem = i64;
+            fn update(&self, _: usize, _: usize, _: usize, x: i64, _: i64, _: i64, _: i64) -> i64 {
+                x
+            }
+            fn in_sigma(&self, i: usize, j: usize, k: usize) -> bool {
+                i > k && j > k
+            }
+        }
+        let bounds = [(0, 0), (0, 3), (2, 5), (3, 3), (4, 7), (5, 4), (1, 6)];
+        for &ib in &bounds {
+            for &jb in &bounds {
+                for &kb in &bounds {
+                    let ctx = format!("{ib:?} {jb:?} {kb:?}");
+                    let full = sigma_count_box(&SumSpec, ib, jb, kb);
+                    assert_eq!(sigma_count_full(ib, jb, kb), full, "full {ctx}");
+                    let elim = sigma_count_box(&Elim, ib, jb, kb);
+                    assert_eq!(sigma_count_elim(ib, jb, kb), elim, "elim {ctx}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -87,6 +87,18 @@ pub trait GepSpec {
         true
     }
 
+    /// Number of updates `⟨i, j, k⟩ ∈ Σ` inside the box (inclusive bounds,
+    /// as [`sigma_intersects`](GepSpec::sigma_intersects)): what a base
+    /// case there applies. The engines' `*.updates` counters read it for
+    /// every leaf when a recorder is installed.
+    ///
+    /// The default scans the box, O(s³) per leaf; structured sets should
+    /// override with a closed form ([`crate::iterative::sigma_count_full`],
+    /// [`crate::iterative::sigma_count_elim`]).
+    fn sigma_count(&self, ib: (usize, usize), jb: (usize, usize), kb: (usize, usize)) -> u64 {
+        crate::iterative::sigma_count_box(self, ib, jb, kb)
+    }
+
     /// `τᵢⱼ(l)` (Definition 2.3, 0-based): the largest `k' ≤ l` with
     /// `⟨i, j, k'⟩ ∈ Σ`, or `None` if no such update exists. `l` may be
     /// negative (then always `None`). `n` bounds the scan.
@@ -184,6 +196,10 @@ impl<S: GepSpec> GepSpec for &S {
     #[inline(always)]
     fn sigma_intersects(&self, ib: (usize, usize), jb: (usize, usize), kb: (usize, usize)) -> bool {
         (**self).sigma_intersects(ib, jb, kb)
+    }
+    #[inline(always)]
+    fn sigma_count(&self, ib: (usize, usize), jb: (usize, usize), kb: (usize, usize)) -> u64 {
+        (**self).sigma_count(ib, jb, kb)
     }
     #[inline(always)]
     fn tau(&self, n: usize, i: usize, j: usize, l: i64) -> Option<usize> {

@@ -87,6 +87,9 @@ impl<S: GepSpec> GepSpec for TraceSpec<'_, S> {
     fn sigma_intersects(&self, ib: (usize, usize), jb: (usize, usize), kb: (usize, usize)) -> bool {
         self.inner.sigma_intersects(ib, jb, kb)
     }
+    fn sigma_count(&self, ib: (usize, usize), jb: (usize, usize), kb: (usize, usize)) -> u64 {
+        self.inner.sigma_count(ib, jb, kb)
+    }
     fn tau(&self, n: usize, i: usize, j: usize, l: i64) -> Option<usize> {
         self.inner.tau(n, i, j, l)
     }

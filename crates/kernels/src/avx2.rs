@@ -1,6 +1,8 @@
 //! AVX2/FMA backend: explicit `std::arch` micro-tile kernels for the
 //! disjoint (GEMM-like) box, plus 256-bit re-instantiations of the shared
-//! sweeps for the aliasing shapes.
+//! sweeps for the aliasing shapes. The i64 min-plus kernel also runs the
+//! aliased `RowPanel`/`ColPanel` boxes on its tile (see
+//! [`fw_i64_row_panel`]).
 //!
 //! Rounding discipline: the f64 multiply-accumulate panels use *fused*
 //! operations everywhere — `_mm256_fmadd_pd`/`_mm256_fnmadd_pd` in the
@@ -286,23 +288,35 @@ unsafe fn fw_i64_in_range(p: *const i64, ld: usize, s: usize) -> bool {
     })
 }
 
-/// Register-blocked i64 min-plus panel for a `Disjoint` box whose A and B
-/// entries all lie in `[0, FW_TILE_MAX]` (see [`fw_i64_in_range`]): 4
-/// rows × 8 columns of C held in eight ymm accumulators, k innermost, one
-/// `add`, `cmpgt` and `blendv` per 4 updates, reading A and B in place.
+/// Register-blocked i64 min-plus product `C ← min(C, INF, A ⊗ B)` of an
+/// `mi × kd` A and a `kd × nj` B into an `mi × nj` C, all at stride `ld`:
+/// 4 rows × 8 columns of C held in eight ymm accumulators, k innermost,
+/// one `add`, `cmpgt` and `blendv` per 4 updates, reading A and B in
+/// place. Cells outside whole 4×8 blocks run the same arithmetic in
+/// scalar code, so any shape works. A `Disjoint` box is one `(s, s, s)`
+/// call; the aliased panels call it on their order-free parts (see
+/// [`fw_i64_row_panel`]).
 ///
-/// Exactness: U and V are stable on a `Disjoint` box and an integer `min`
-/// does not depend on order, so for `kd ≥ 1` the generic kernel's result
-/// is `min(x₀, minₖ MinPlusI64::mul(uₖ, vₖ)) = min(min(x₀, INF),
+/// Exactness: with A and B stable and an integer `min` independent of
+/// order, the generic kernel's result on a `Disjoint` box (`kd ≥ 1`) is
+/// `min(x₀, minₖ MinPlusI64::mul(uₖ, vₖ)) = min(min(x₀, INF),
 /// minₖ(uₖ + vₖ))` — which is what both the tile and the scalar edge
 /// cells compute.
 ///
 /// # Safety
-/// AVX2 is available; `c` (`s × s`, writable), `a` and `b` (`s × s`) are
-/// valid at stride `ld`, `c` overlaps neither, and every entry of `a`
-/// and `b` lies in `[0, FW_TILE_MAX]`.
+/// AVX2 is available; `c` (writable), `a` and `b` are valid for the
+/// shapes above at stride `ld`, `c` overlaps neither, and every entry of
+/// `a` and `b` lies in `[0, FW_TILE_MAX]`.
 #[target_feature(enable = "avx2")]
-unsafe fn fw_i64_tile_inner(c: *mut i64, a: *const i64, b: *const i64, ld: usize, s: usize) {
+unsafe fn fw_i64_tile_inner(
+    c: *mut i64,
+    a: *const i64,
+    b: *const i64,
+    ld: usize,
+    mi: usize,
+    nj: usize,
+    kd: usize,
+) {
     let inf = _mm256_set1_epi64x(TROPICAL_INF);
     let load = |p: *const i64| {
         let x = _mm256_loadu_si256(p as *const __m256i);
@@ -314,13 +328,13 @@ unsafe fn fw_i64_tile_inner(c: *mut i64, a: *const i64, b: *const i64, ld: usize
     };
     let cell = |p: *mut i64, ar: *const i64, j: usize| {
         let mut x = (*p).min(TROPICAL_INF);
-        for k in 0..s {
+        for k in 0..kd {
             x = x.min(*ar.add(k) + *b.add(k * ld + j));
         }
         *p = x;
     };
     let mut i = 0usize;
-    while i + 4 <= s {
+    while i + 4 <= mi {
         let (r0, r1, r2, r3) = (
             c.add(i * ld),
             c.add((i + 1) * ld),
@@ -334,7 +348,7 @@ unsafe fn fw_i64_tile_inner(c: *mut i64, a: *const i64, b: *const i64, ld: usize
             a.add((i + 3) * ld),
         );
         let mut j = 0usize;
-        while j + 8 <= s {
+        while j + 8 <= nj {
             let mut c00 = load(r0.add(j));
             let mut c01 = load(r0.add(j + 4));
             let mut c10 = load(r1.add(j));
@@ -343,7 +357,7 @@ unsafe fn fw_i64_tile_inner(c: *mut i64, a: *const i64, b: *const i64, ld: usize
             let mut c21 = load(r2.add(j + 4));
             let mut c30 = load(r3.add(j));
             let mut c31 = load(r3.add(j + 4));
-            for k in 0..s {
+            for k in 0..kd {
                 let brow = b.add(k * ld + j);
                 let bv0 = _mm256_loadu_si256(brow as *const __m256i);
                 let bv1 = _mm256_loadu_si256(brow.add(4) as *const __m256i);
@@ -374,7 +388,7 @@ unsafe fn fw_i64_tile_inner(c: *mut i64, a: *const i64, b: *const i64, ld: usize
             }
             j += 8;
         }
-        for jj in j..s {
+        for jj in j..nj {
             cell(r0.add(jj), a0, jj);
             cell(r1.add(jj), a1, jj);
             cell(r2.add(jj), a2, jj);
@@ -382,9 +396,206 @@ unsafe fn fw_i64_tile_inner(c: *mut i64, a: *const i64, b: *const i64, ld: usize
         }
         i += 4;
     }
-    for ii in i..s {
-        for jj in 0..s {
+    for ii in i..mi {
+        for jj in 0..nj {
             cell(c.add(ii * ld + jj), a.add(ii * ld), jj);
+        }
+    }
+}
+
+/// `dst[j] ← min(dst[j], u + src[j])` over `n` entries: one row of a
+/// panel's in-block triangle. No overflow with `u ∈ [0, FW_TILE_MAX]` and
+/// `src` clamped to `[0, INF]`.
+///
+/// # Safety
+/// AVX2 is available; `dst` and `src` address `n` entries and do not
+/// overlap.
+#[target_feature(enable = "avx2")]
+unsafe fn fw_i64_relax_row(dst: *mut i64, u: i64, src: *const i64, n: usize) {
+    let (dst, src) = (
+        core::slice::from_raw_parts_mut(dst, n),
+        core::slice::from_raw_parts(src, n),
+    );
+    for (x, &v) in dst.iter_mut().zip(src) {
+        *x = (*x).min(u + v);
+    }
+}
+
+/// `x ← min(x, INF)` over the `s × s` block at `p`.
+///
+/// # Safety
+/// AVX2 is available, and `p` addresses `s` writable rows of `s` entries
+/// at stride `ld`.
+#[target_feature(enable = "avx2")]
+unsafe fn fw_i64_clamp(p: *mut i64, ld: usize, s: usize) {
+    for r in 0..s {
+        for x in core::slice::from_raw_parts_mut(p.add(r * ld), s) {
+            *x = (*x).min(TROPICAL_INF);
+        }
+    }
+}
+
+/// Exact i64 min-plus `RowPanel` (B) box on the register tile: `X =
+/// c[kk.., xc..]` is updated from itself through the diagonal block `D =
+/// c[kk.., kk..]`, `x[i,j] ← min(x[i,j], D[i,k] ⊗ x[k,j])` for k
+/// ascending, every entry of `X` and `D` in `[0, FW_TILE_MAX]`.
+///
+/// Exactness: write `r_m` for row `m` of `X` at the start of step `m`.
+/// Every cell gets at least one update and each `⊗` is at most `INF`, so
+/// clamping `X` to `min(x, INF)` first changes no result, and on clamped
+/// operands `D[i,m] ⊗ r_m = min(D[i,m] + r_m, INF)` with no overflow
+/// (`≤ 3·INF`). `D[i,i] ≥ 0` makes the self-update at `k == i` a no-op, so
+/// G's result is `final_i = min(r_i, min_{m>i} D[i,m] + r_m)` with `r_i =
+/// min(x₀_i, min_{m<i} D[i,m] + r_m)`. Integer `min` is order-free, so
+/// each `min` may be split into a tile product over whole 4-row blocks
+/// and an in-block triangle; no closure of `D` is assumed. Two ascending
+/// passes over 4-row blocks `R = [i0, e)`:
+/// 1. lower: `R ← min(R, D[R, <i0] ⊗ X[<i0])` on the tile (those rows
+///    already hold `r`), then the triangle `m ∈ [i0, i)` row by row;
+/// 2. upper: the triangle `m ∈ (i, e)` first, reading rows the upper
+///    pass has not reached, then `R ← min(R, D[R, ≥e] ⊗ X[≥e])`, whose
+///    rows still hold `r`.
+///
+/// # Safety
+/// AVX2 is available; `x` (`s × s`, writable) and `d` (`s × s`) are valid
+/// at stride `ld` and do not overlap, and every entry of both lies in
+/// `[0, FW_TILE_MAX]`.
+#[target_feature(enable = "avx2")]
+unsafe fn fw_i64_row_panel(x: *mut i64, d: *const i64, ld: usize, s: usize) {
+    fw_i64_clamp(x, ld, s);
+    let row = |i: usize| x.add(i * ld);
+    let mut i0 = 0;
+    while i0 < s {
+        let e = (i0 + 4).min(s);
+        if i0 > 0 {
+            fw_i64_tile_inner(row(i0), d.add(i0 * ld), x, ld, e - i0, s, i0);
+        }
+        for i in i0..e {
+            for m in i0..i {
+                fw_i64_relax_row(row(i), *d.add(i * ld + m), row(m), s);
+            }
+        }
+        i0 = e;
+    }
+    let mut i0 = 0;
+    while i0 < s {
+        let e = (i0 + 4).min(s);
+        for i in i0..e {
+            for m in i + 1..e {
+                fw_i64_relax_row(row(i), *d.add(i * ld + m), row(m), s);
+            }
+        }
+        if e < s {
+            fw_i64_tile_inner(row(i0), d.add(i0 * ld + e), row(e), ld, e - i0, s, s - e);
+        }
+        i0 = e;
+    }
+}
+
+/// Exact i64 min-plus `ColPanel` (C) box on the register tile: the
+/// transpose of [`fw_i64_row_panel`]. `X = c[xr.., kk..]` is updated as
+/// `x[i,j] ← min(x[i,j], x[i,k] ⊗ D[k,j])`, so column `j` ends as
+/// `min(c_j, min_{m>j} c_m + D[m,j])` with `c_j = min(x₀_j, min_{m<j}
+/// c_m + D[m,j])`. The passes run over 8-column blocks `J = [j0, e)`,
+/// with `X` as the tile's A operand and `D` as its B operand; the
+/// in-block triangle is [`fw_i64_col_triangle`].
+///
+/// # Safety
+/// As [`fw_i64_row_panel`].
+#[target_feature(enable = "avx2")]
+unsafe fn fw_i64_col_panel(x: *mut i64, d: *const i64, ld: usize, s: usize) {
+    fw_i64_clamp(x, ld, s);
+    let mut j0 = 0;
+    while j0 < s {
+        let e = (j0 + 8).min(s);
+        if j0 > 0 {
+            fw_i64_tile_inner(x.add(j0), x, d.add(j0), ld, s, e - j0, j0);
+        }
+        fw_i64_col_triangle::<false>(x, d, ld, s, j0, e);
+        j0 = e;
+    }
+    let mut j0 = 0;
+    while j0 < s {
+        let e = (j0 + 8).min(s);
+        fw_i64_col_triangle::<true>(x, d, ld, s, j0, e);
+        if e < s {
+            fw_i64_tile_inner(
+                x.add(j0),
+                x.add(e),
+                d.add(e * ld + j0),
+                ld,
+                s,
+                e - j0,
+                s - e,
+            );
+        }
+        j0 = e;
+    }
+}
+
+/// The in-block triangle of a `ColPanel` column block `[j0, e)` over all
+/// `s` rows: column `j` takes `x[i,m] + D[m,j]` for every `m < j` (lower
+/// pass, `m` already final) or every `m ∈ (j, e)` (`UPPER`, `m` not yet
+/// reached). A whole 8-column block runs four rows at a time as eight
+/// column vectors (a 4×4 transpose in and out), one vector relax per
+/// `(m, j)`; other cells run the same order in scalar code.
+///
+/// # Safety
+/// As [`fw_i64_row_panel`], with `j0 < e ≤ min(j0 + 8, s)`.
+#[target_feature(enable = "avx2")]
+unsafe fn fw_i64_col_triangle<const UPPER: bool>(
+    x: *mut i64,
+    d: *const i64,
+    ld: usize,
+    s: usize,
+    j0: usize,
+    e: usize,
+) {
+    let folds = |m: usize, j: usize| if UPPER { m > j } else { m < j };
+    // Swaps rows and columns of the two 4×4 blocks `v[0..4]`, `v[4..8]`.
+    let transpose = |v: &mut [__m256i; 8]| {
+        for h in [0, 4] {
+            let t0 = _mm256_unpacklo_epi64(v[h], v[h + 1]);
+            let t1 = _mm256_unpackhi_epi64(v[h], v[h + 1]);
+            let t2 = _mm256_unpacklo_epi64(v[h + 2], v[h + 3]);
+            let t3 = _mm256_unpackhi_epi64(v[h + 2], v[h + 3]);
+            v[h] = _mm256_permute2x128_si256(t0, t2, 0x20);
+            v[h + 1] = _mm256_permute2x128_si256(t1, t3, 0x20);
+            v[h + 2] = _mm256_permute2x128_si256(t0, t2, 0x31);
+            v[h + 3] = _mm256_permute2x128_si256(t1, t3, 0x31);
+        }
+    };
+    let db = d.add(j0 * ld + j0);
+    let mut i = 0;
+    if e - j0 == 8 {
+        while i + 4 <= s {
+            let xb = x.add(i * ld + j0);
+            let at = |q: usize| xb.add(q % 4 * ld + q / 4 * 4) as *mut __m256i;
+            let mut v: [__m256i; 8] = core::array::from_fn(|q| _mm256_loadu_si256(at(q)));
+            transpose(&mut v);
+            for j in 0..8 {
+                for m in 0..8 {
+                    if folds(m, j) {
+                        let t = _mm256_add_epi64(v[m], _mm256_set1_epi64x(*db.add(m * ld + j)));
+                        v[j] = _mm256_blendv_epi8(v[j], t, _mm256_cmpgt_epi64(v[j], t));
+                    }
+                }
+            }
+            transpose(&mut v);
+            for (q, r) in v.into_iter().enumerate() {
+                _mm256_storeu_si256(at(q), r);
+            }
+            i += 4;
+        }
+    }
+    for i in i..s {
+        let xr = x.add(i * ld);
+        for j in j0..e {
+            let mut t = *xr.add(j);
+            for m in (j0..e).filter(|&m| folds(m, j)) {
+                t = t.min(*xr.add(m) + *d.add(m * ld + j));
+            }
+            *xr.add(j) = t;
         }
     }
 }
@@ -633,26 +844,33 @@ pub unsafe fn fw_i64(
     s: usize,
     shape: BoxShape,
 ) {
-    match shape {
-        BoxShape::Disjoint => {
-            let ld = m.n();
-            let (c, a, b) = (
-                m.row_ptr(xr).add(xc),
-                m.row_ptr(xr).add(kk) as *const i64,
-                m.row_ptr(kk).add(xc) as *const i64,
-            );
-            // SAFETY: on a `Disjoint` box C = c[xr.., xc..], A = c[xr.., kk..]
-            // and B = c[kk.., xc..] are s×s blocks of the ld-wide matrix and C
-            // overlaps neither; the tile runs only once both passed the range
-            // check.
-            if fw_i64_in_range(a, ld, s) && fw_i64_in_range(b, ld, s) {
-                fw_i64_tile_inner(c, a, b, ld, s)
-            } else {
-                gep_obs::counter_add(crate::FW_I64_SATURATING_COUNTER, 1);
-                fw_i64_panel_inner(c, ld, a, ld, b, ld, s, s, s)
-            }
+    if shape == BoxShape::Diagonal {
+        return fw_i64_sweep_tf(m, xr, xc, kk, s);
+    }
+    let ld = m.n();
+    let (c, a, b) = (
+        m.row_ptr(xr).add(xc),
+        m.row_ptr(xr).add(kk) as *const i64,
+        m.row_ptr(kk).add(xc) as *const i64,
+    );
+    // SAFETY: C = c[xr.., xc..], A = c[xr.., kk..] and B = c[kk.., xc..]
+    // are s×s blocks of the ld-wide matrix. On a `Disjoint` box C overlaps
+    // neither; on a `RowPanel` A is the diagonal block and B is C itself,
+    // on a `ColPanel` A is C and B the diagonal block, which the panel
+    // kernels never write. The fast paths run only once both passed the
+    // range check.
+    if fw_i64_in_range(a, ld, s) && fw_i64_in_range(b, ld, s) {
+        match shape {
+            BoxShape::Disjoint => fw_i64_tile_inner(c, a, b, ld, s, s, s),
+            BoxShape::RowPanel => fw_i64_row_panel(c, a, ld, s),
+            _ => fw_i64_col_panel(c, b, ld, s),
         }
-        _ => fw_i64_sweep_tf(m, xr, xc, kk, s),
+    } else {
+        gep_obs::counter_add(crate::FW_I64_SATURATING_COUNTER, 1);
+        match shape {
+            BoxShape::Disjoint => fw_i64_panel_inner(c, ld, a, ld, b, ld, s, s, s),
+            _ => fw_i64_sweep_tf(m, xr, xc, kk, s),
+        }
     }
 }
 

@@ -195,9 +195,10 @@ pub struct KernelSet {
     pub f64_fw: ShapedKernel<f64>,
     /// Floyd–Warshall min-plus over full `Σ`, exact i64 weights
     /// (saturating, sentinel-absorbing `⊗` — see
-    /// [`gep_core::algebra::MinPlusI64`]). AVX2 runs `Disjoint` boxes on
-    /// a register tile, falling back to a saturating panel (and bumping
-    /// [`FW_I64_SATURATING_COUNTER`]) when an input lies outside
+    /// [`gep_core::algebra::MinPlusI64`]). AVX2 runs `Disjoint`,
+    /// `RowPanel` and `ColPanel` boxes on a register tile, falling back to
+    /// the saturating panel or sweep (and bumping
+    /// [`FW_I64_SATURATING_COUNTER`]) when an operand lies outside
     /// `[0, 2·TROPICAL_INF]`.
     pub i64_fw: ShapedKernel<i64>,
     /// Bottleneck max-min closure over full `Σ`, i64 capacities.
@@ -441,9 +442,10 @@ fn ambient_backend() -> Backend {
     })
 }
 
-/// Counter bumped once per AVX2 `Disjoint` `i64_fw` call that runs the
-/// saturating panel because an A or B entry lies outside
-/// `[0, 2·TROPICAL_INF]`, the register tile's contract. Distinct from
+/// Counter bumped once per AVX2 `Disjoint`, `RowPanel` or `ColPanel`
+/// `i64_fw` call that runs the saturating panel or sweep because an A or
+/// B entry lies outside `[0, 2·TROPICAL_INF]`, the register tile's
+/// contract. Distinct from
 /// `kernels.fallback`, which counts base cases with no specialized kernel.
 pub const FW_I64_SATURATING_COUNTER: &str = "kernels.fw_i64.saturating";
 
@@ -1006,6 +1008,68 @@ mod tests {
                         u64::from(off_contract && set.backend == Backend::Avx2),
                         "saturating-panel count {ctx}"
                     );
+                }
+            }
+        }
+    }
+
+    /// `RowPanel` and `ColPanel` boxes on and off the AVX2 tile's
+    /// contract. Case 0 draws `X` and a random, not closed, `D` in `[0,
+    /// INF]`; case 1 adds entries in `(INF, 2·INF]`, still on the tile.
+    /// Off it, case 2 puts a negative entry on `D`'s diagonal, case 3
+    /// draws negatives down to `i64::MIN` and case 4 values above
+    /// `2·INF`. Sides up to 8 run the scalar edges and partial blocks;
+    /// 12, 20 and 72 end on a partial 4-row or 8-column block. Every
+    /// backend must match the generic kernel bit for bit, and AVX2 must
+    /// count exactly its off-contract calls.
+    #[test]
+    fn fw_i64_aliased_panels_exact_on_and_off_contract() {
+        use gep_core::algebra::TROPICAL_INF as INF;
+        let rare: [&[i64]; 5] = [
+            &[INF],
+            &[INF + 1, INF + 7, 2 * INF],
+            &[INF],
+            &[-1, -7, -INF, i64::MIN],
+            &[2 * INF + 1, i64::MAX],
+        ];
+        for set in specialized_sets() {
+            for &s in &[1usize, 3, 4, 5, 7, 8, 12, 20, 32, 40, 64, 72] {
+                for (xr, xc, shape) in [(0, s, BoxShape::RowPanel), (s, 0, BoxShape::ColPanel)] {
+                    for (case, rare) in rare.iter().enumerate() {
+                        let mut seed = 0xA1 ^ ((s as u64) << 8) ^ ((case as u64) << 16) ^ xr as u64;
+                        let mut init = Matrix::from_fn(2 * s, 2 * s, |_, _| {
+                            let r = lcg(&mut seed) as usize;
+                            if r % 8 == 0 {
+                                rare[(r / 8) % rare.len()]
+                            } else {
+                                (r / 8 % 1000) as i64
+                            }
+                        });
+                        // One forced entry per case in X (the first two
+                        // and the last) or D, so every off-contract call
+                        // is one.
+                        match case {
+                            1 => init[(xr, xc)] = 2 * INF,
+                            2 => init[(s / 2, s / 2)] = -3,
+                            3 => init[(xr + s - 1, xc)] = i64::MIN,
+                            4 => init[(0, s - 1)] = i64::MAX,
+                            _ => {}
+                        }
+                        let mut want = init.clone();
+                        let mut got = init.clone();
+                        let ((), rec) =
+                            gep_obs::record(gep_obs::Recorder::counters_only(), || unsafe {
+                                generic_kernel(&FwRefI64, GepMat::new(&mut want), xr, xc, 0, s);
+                                (set.i64_fw)(GepMat::new(&mut got), xr, xc, 0, s, shape);
+                            });
+                        let ctx = format!("{} s={s} {shape:?} case={case}", set.backend.name());
+                        assert_eq!(got, want, "fw i64 aliased {ctx}");
+                        assert_eq!(
+                            rec.counter(FW_I64_SATURATING_COUNTER),
+                            u64::from(case >= 2 && set.backend == Backend::Avx2),
+                            "saturating count {ctx}"
+                        );
+                    }
                 }
             }
         }

@@ -339,8 +339,8 @@ fn no_fallback_on_power_of_two_full_sigma_runs() {
     assert!(dispatched > 0, "dispatch counter must record the backend");
 }
 
-/// Non-negative-weight min-plus solves never leave the AVX2 register tile:
-/// an `apsp` run shaped like the fw-1024 benchmark (leaves of 64) and a
+/// Non-negative-weight min-plus solves never leave the AVX2 register tile
+/// on `RowPanel`, `ColPanel` or `Disjoint` leaves: an `apsp` run shaped like the fw-1024 benchmark (leaves of 64) and a
 /// gep-serve-shaped solve (fitted side, `TROPICAL_INF` padding, leaves of
 /// 32) bump `kernels.fw_i64.saturating` zero times. One negative weight
 /// does bump it, on the AVX2 backend only.
@@ -365,10 +365,12 @@ fn fw_tile_covers_non_negative_apsp() {
         let mut serve = serve_like(300, 8);
         igep_opt(&FwSpec::<i64>::new(), &mut serve, 32);
     });
-    assert!(
-        rec.counter("abcd.d.calls") > 0,
-        "the runs must reach Disjoint leaves"
-    );
+    for shape in ["b", "c", "d"] {
+        assert!(
+            rec.counter(&format!("abcd.{shape}.calls")) > 0,
+            "the runs must reach {shape} leaves"
+        );
+    }
     assert_eq!(rec.counter(FW_I64_SATURATING_COUNTER), 0);
 
     let ((), rec) = gep::obs::record(gep::obs::Recorder::counters_only(), || {
