@@ -10,9 +10,9 @@
 //!   [`Gf2Block`](gep_core::algebra::Gf2Block) (64×64 bits) per GEP cell;
 //! * [`ElimSpec<GfP<P>>`] — prime-field elimination with Barrett
 //!   reduction (exact rank / determinant / solving mod p);
-//! * [`ElimSpec<PlusTimesF64>`] — the classical real-field instance
-//!   ([`crate::GaussianSpec`] remains the spec of record for `f64`; it
-//!   shares kernels with this one through the same algebra hook).
+//! * [`ElimSpec<PlusTimesF64>`] — the classical real-field instance,
+//!   named [`type@crate::GaussianSpec`]: `f = x − (u / w)·v`, the order of
+//!   every f64 GE kernel (see [`EliminationAlgebra::multiplier`]).
 //!
 //! No pivoting, as in the paper: inputs must have nonsingular leading
 //! principal minors (over GF(2): nonsingular leading *block* minors).
@@ -29,7 +29,7 @@ use gep_kernels::AlgebraKernels;
 use std::marker::PhantomData;
 
 /// Elimination without pivoting over the algebra `A`:
-/// `Σ = {i > k ∧ j > k}`, `f = x ⊖ (u ⊗ w⁻¹ ⊗ v)`.
+/// `Σ = {i > k ∧ j > k}`, `f = x ⊖ (u ⊗ w⁻¹) ⊗ v`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ElimSpec<A>(PhantomData<A>);
 
@@ -86,24 +86,25 @@ impl<A: EliminationAlgebra + AlgebraKernels> GepSpec for ElimSpec<A> {
         (t >= 0).then_some(t as usize)
     }
 
-    /// Inverse-hoisted tile kernel: `w⁻¹` once per `k`, the left
-    /// multiplier `u ⊗ w⁻¹` once per `(k, i)`, a multiply-subtract in the
-    /// inner loop. For exact algebras this hoisting is *bitwise* identical
-    /// to the per-cell [`EliminationAlgebra::eliminate`] (associativity is
-    /// exact — no rounding); the multiplication order
-    /// `(u ⊗ w⁻¹) ⊗ v` matches `eliminate` for noncommutative `A`. The
-    /// hoists are sound on every box shape because `Σ` excludes
-    /// `i == k` and `j == k`, so row `k` and column `k` are never written
-    /// during step `k`.
+    /// Hoisted tile kernel (the §4.2 "move divisions out of the
+    /// innermost loop" optimisation): the pivot's
+    /// [`EliminationAlgebra::multiplier`] once per `k` (one inverse for
+    /// exact algebras), the multiplier `u ⊗ w⁻¹` once per `(k, i)`, a
+    /// multiply-subtract in the inner loop. Each cell gets exactly the
+    /// operations of [`EliminationAlgebra::eliminate`], in the same
+    /// order, so the kernel equals G bitwise for every algebra, `f64`
+    /// included. The hoists are sound on every box shape because `Σ`
+    /// excludes `i == k` and `j == k`, so row `k` and column `k` are
+    /// never written during step `k`.
     ///
     /// # Panics
     /// Panics when a pivot is not invertible (see module docs).
     unsafe fn kernel(&self, m: GepMat<'_, A::Elem>, xr: usize, xc: usize, kk: usize, s: usize) {
         for k in kk..kk + s {
-            let winv = A::inv(m.get(k, k)).expect("elimination pivot is not invertible");
+            let by_pivot = A::multiplier(m.get(k, k));
             let vrow = m.row_ptr(k);
             for i in (k + 1).max(xr)..xr + s {
-                let factor = A::mul(m.get(i, k), winv);
+                let factor = by_pivot(m.get(i, k));
                 let xrow = m.row_ptr(i);
                 for j in (k + 1).max(xc)..xc + s {
                     *xrow.add(j) = A::sub(*xrow.add(j), A::mul(factor, *vrow.add(j)));

@@ -1,106 +1,32 @@
 //! Gaussian elimination without pivoting as a GEP instance, plus
 //! triangular solves and an end-to-end linear solver.
 //!
-//! `Σ = {⟨i,j,k⟩ : i > k ∧ j > k}` and `f(x, u, v, w) = x − u·v / w`:
+//! `Σ = {⟨i,j,k⟩ : i > k ∧ j > k}` and `f(x, u, v, w) = x − (u / w)·v`:
 //! at step `k`, every cell strictly below and to the right of the pivot
-//! `c[k,k]` is reduced by `c[i,k]·c[k,j]/c[k,k]`, where `c[i,k]` and
-//! `c[k,j]` carry exactly `k` elimination steps (Table 1). After the run
-//! the upper triangle (including the diagonal) holds `U` of `A = L·U`;
-//! the strict lower triangle holds partially-reduced residue (use
-//! [`crate::lu::LuSpec`] when the multipliers are needed).
+//! `c[k,k]` is reduced by `(c[i,k]/c[k,k])·c[k,j]`, where `c[i,k]` and
+//! `c[k,j]` carry exactly `k` elimination steps (Table 1). This is
+//! [`ElimSpec`] over [`PlusTimesF64`]; every engine and kernel backend
+//! computes it in this one order. After the run the upper triangle
+//! (including the diagonal) holds `U` of `A = L·U`; the strict lower
+//! triangle holds partially-reduced residue (use [`crate::lu::LuSpec`]
+//! when the multipliers are needed).
 //!
 //! No pivoting: inputs must be such that all leading principal minors are
 //! nonsingular (e.g. diagonally dominant or positive definite), as in the
 //! paper's experiments.
 
+use crate::elimination::ElimSpec;
 use gep_core::algebra::PlusTimesF64;
-use gep_core::{BoxShape, GepMat, GepSpec};
-use gep_kernels::AlgebraKernels;
 use gep_matrix::Matrix;
 
-/// Gaussian elimination without pivoting.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct GaussianSpec;
+/// Gaussian elimination without pivoting: the elimination spec over the
+/// real field.
+pub type GaussianSpec = ElimSpec<PlusTimesF64>;
 
-impl GepSpec for GaussianSpec {
-    type Elem = f64;
-
-    #[inline(always)]
-    fn update(&self, _i: usize, _j: usize, _k: usize, x: f64, u: f64, v: f64, w: f64) -> f64 {
-        x - u * v / w
-    }
-
-    #[inline(always)]
-    fn in_sigma(&self, i: usize, j: usize, k: usize) -> bool {
-        i > k && j > k
-    }
-
-    #[inline(always)]
-    fn sigma_intersects(&self, ib: (usize, usize), jb: (usize, usize), kb: (usize, usize)) -> bool {
-        // Σ ∩ box ≠ ∅ ⇔ some i > k and some j > k with k in range:
-        // the smallest k works if any does.
-        ib.1 > kb.0 && jb.1 > kb.0
-    }
-
-    #[inline(always)]
-    fn sigma_count(&self, ib: (usize, usize), jb: (usize, usize), kb: (usize, usize)) -> u64 {
-        gep_core::iterative::sigma_count_elim(ib, jb, kb)
-    }
-
-    #[inline(always)]
-    fn tau(&self, _n: usize, i: usize, j: usize, l: i64) -> Option<usize> {
-        // ⟨i,j,k'⟩ ∈ Σ ⇔ k' < min(i, j); the largest such k' ≤ l is
-        // min(l, i-1, j-1) when non-negative.
-        if i == 0 || j == 0 {
-            return None;
-        }
-        let cap = (i - 1).min(j - 1) as i64;
-        let t = l.min(cap);
-        (t >= 0).then_some(t as usize)
-    }
-
-    /// Division-hoisted tile kernel (the §4.2 "move divisions out of the
-    /// innermost loop" optimisation): for each `(k, i)` the multiplier
-    /// `u/w` is computed once and the inner loop is a contiguous
-    /// fused-multiply-subtract over the row.
-    unsafe fn kernel(&self, m: GepMat<'_, f64>, xr: usize, xc: usize, kk: usize, s: usize) {
-        for k in kk..kk + s {
-            let w = m.get(k, k);
-            let vrow = m.row_ptr(k);
-            for i in (k + 1).max(xr)..xr + s {
-                // u = c[i,k] never changes inside this row sweep: updates
-                // here touch columns j > k only, and c[i,k] sits at
-                // column k.
-                let factor = m.get(i, k) / w;
-                let xrow = m.row_ptr(i);
-                for j in (k + 1).max(xc)..xc + s {
-                    *xrow.add(j) -= factor * *vrow.add(j);
-                }
-            }
-        }
-    }
-
-    /// Routes the base case through the active backend's elimination
-    /// kernel for the real field
-    /// ([`gep_kernels::AlgebraKernels::elim_kernel`] on
-    /// [`PlusTimesF64`] — register-blocked GEMM-like panel on disjoint
-    /// boxes, aliasing-safe sweep elsewhere); the `Generic` backend falls
-    /// back to [`GaussianSpec::kernel`].
-    unsafe fn kernel_shaped(
-        &self,
-        m: GepMat<'_, f64>,
-        xr: usize,
-        xc: usize,
-        kk: usize,
-        s: usize,
-        shape: BoxShape,
-    ) {
-        match gep_kernels::dispatch().and_then(PlusTimesF64::elim_kernel) {
-            Some(kernel) => kernel(m, xr, xc, kk, s, shape),
-            None => self.kernel(m, xr, xc, kk, s),
-        }
-    }
-}
+/// The [`type@GaussianSpec`] value, so `&GaussianSpec` reads like a unit
+/// struct.
+#[allow(non_upper_case_globals)]
+pub const GaussianSpec: GaussianSpec = ElimSpec::new();
 
 /// Runs Gaussian elimination (optimised sequential I-GEP) in place;
 /// afterwards the upper triangle of `a` is the `U` factor.
@@ -176,7 +102,7 @@ pub fn determinant(a: &Matrix<f64>, base_size: usize) -> f64 {
 mod tests {
     use super::*;
     use crate::reference::{ge_reference, mat_vec, solve_reference};
-    use gep_core::{cgep_full, gep_iterative, igep};
+    use gep_core::{cgep_full, gep_iterative, igep, GepSpec};
 
     fn spd_matrix(n: usize, seed: u64) -> Matrix<f64> {
         // Diagonally dominant => elimination without pivoting is stable.

@@ -18,16 +18,17 @@
 //!   with shortest paths rebuilt from the solved distances by walking
 //!   tight edges, and cheaper edges folded into a solved matrix by one
 //!   `O(n²)` rank-1 relaxation each;
-//! * [`gaussian`] — Gaussian elimination without pivoting
-//!   (`Σ = {i > k ∧ j > k}`, `f = x − u·v/w`), plus triangular solves and
-//!   an end-to-end linear solver;
+//! * [`gaussian`] — Gaussian elimination without pivoting, the name
+//!   [`type@GaussianSpec`] for [`ElimSpec`] over the reals
+//!   (`f = x − (u/w)·v`), plus triangular solves and an end-to-end linear
+//!   solver;
 //! * [`lu`] — LU decomposition without pivoting (multipliers stored
 //!   in-place, `Σ = {i > k ∧ j ≥ k}`);
 //! * [`matmul`] — matrix multiplication, both as the paper's GEP embedding
 //!   into a `2n × 2n` matrix and as the direct divide-and-conquer over
 //!   three matrices (the `D`-only recursion with maximal parallelism);
 //! * [`transitive_closure`] — Boolean transitive closure
-//!   (Warshall's algorithm);
+//!   (Warshall's algorithm) on [`SemiringSpec`] over the Boolean semiring;
 //! * [`simple_dp`] — the parenthesis problem ("simple DP"), the paper's
 //!   cited non-GEP adaptation of the framework, with a polygon
 //!   triangulation instance;
@@ -50,4 +51,3 @@ pub use floyd_warshall::{relax_edge, tight_path, FwPredSpec, FwSpec, InEdges, We
 pub use gaussian::GaussianSpec;
 pub use lu::LuSpec;
 pub use matmul::MatMulEmbedSpec;
-pub use transitive_closure::TransitiveClosureSpec;

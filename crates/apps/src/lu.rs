@@ -99,7 +99,9 @@ impl GepSpec for LuSpec {
 /// `a` holds `U` on/above the diagonal, `L`'s subdiagonal below it.
 ///
 /// # Panics
-/// Panics unless `a` is square with a power-of-two side.
+/// Panics unless `a` is square with a side that halves exactly down to
+/// leaves of side `<= base_size` (a power of two, or a
+/// [`gep_matrix::fit_side`] for the same base).
 pub fn lu_in_place(a: &mut Matrix<f64>, base_size: usize) {
     gep_core::igep_opt(&LuSpec, a, base_size);
 }

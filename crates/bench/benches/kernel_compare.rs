@@ -17,9 +17,9 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use gep_apps::floyd_warshall::FwSpec;
 use gep_apps::matmul::matmul;
-use gep_apps::{GaussianSpec, LuSpec, TransitiveClosureSpec};
+use gep_apps::{GaussianSpec, LuSpec, SemiringSpec};
 use gep_bench::workloads::{dd_matrix, random_dist_matrix, rnd_matrix, XorShift};
-use gep_core::algebra::PlusTimesF64;
+use gep_core::algebra::{OrAndBool, PlusTimesF64};
 use gep_core::igep_opt;
 use gep_kernels::{detect_best, kernel_set, set_backend_override, Backend};
 use gep_matrix::Matrix;
@@ -80,7 +80,7 @@ fn bench_apps(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("tc", id), &tc_in, |b, input| {
             b.iter(|| {
                 let mut m = input.clone();
-                igep_opt(&TransitiveClosureSpec, &mut m, BASE);
+                igep_opt(&SemiringSpec::<OrAndBool>::new(), &mut m, BASE);
                 black_box(m[(0, 0)])
             })
         });

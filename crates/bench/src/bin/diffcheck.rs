@@ -24,13 +24,16 @@
 //!   that instance deterministically. One seed in 40 also runs an FW
 //!   and an f64 GE instance on a fitted side ([`FITTED`]: a
 //!   non-power-of-two `leaf·2^q`) through the four I-GEP engines that
-//!   accept such sides, against G: bitwise for FW, within 1e-9 for GE,
-//!   whose SIMD kernels fuse multiply-add.
+//!   accept such sides, against G: bitwise for FW, and for GE unless the
+//!   ambient kernel backend fuses multiply-subtract (AVX2; then within
+//!   1e-9).
 //! * `kernels [trials]` — the specialized-vs-generic kernel axis: random
 //!   instances of the five kernel-backed applications (GE, LU, FW, TC,
 //!   MM) run with each `gep-kernels` backend the host supports, compared
-//!   against the scalar generic base case (bitwise for `i64`/`bool`,
-//!   1e-9 for `f64`; the MM embed-vs-recursion bitwise invariant is
+//!   against the scalar generic base case (bitwise for `i64`/`bool`, and
+//!   for f64 GE and LU on every backend that does not fuse
+//!   multiply-subtract; 1e-9 for MM and for GE and LU under AVX2; the MM
+//!   embed-vs-recursion bitwise invariant is
 //!   checked under every backend). One seed in 8 runs on a fitted side
 //!   ([`FITTED`]) instead of `n ∈ {4..32}`, without MM, whose
 //!   recursion needs a power of two. Independently, one seed in 4 also
@@ -77,16 +80,17 @@ use gep::apps::matmul::{matmul, MatMulEmbedSpec};
 use gep::apps::reference::{
     fw_reference, gf2_block_elim_reference, gfp_elim_reference, maxmin_reference, tc_reference,
 };
-use gep::apps::{ElimSpec, FwSpec, GaussianSpec, LuSpec, SemiringSpec, TransitiveClosureSpec};
+use gep::apps::{ElimSpec, FwSpec, GaussianSpec, LuSpec, SemiringSpec};
 use gep::core::algebra::{
     Gf2Block, Gf2x64, GfMersenne31, MaxMinI64, MinPlusI64, OrAndBool, PlusTimesF64, TROPICAL_INF,
 };
 use gep::core::GepSpec;
 use gep::matrix::Matrix;
 use gep::verify::{
-    all_engines, buggy_engine, diff_engine, minimize, recorded_regression, AffineInstance,
+    all_engines, buggy_engine, diff_engine, elim_agrees, minimize, recorded_regression,
+    AffineInstance,
 };
-use gep_kernels::{available_backends, set_backend_override, Backend};
+use gep_kernels::{available_backends, selected_backend, set_backend_override, Backend};
 
 struct Rng(u64);
 
@@ -274,7 +278,8 @@ fn fitted_engines_check<S: GepSpec + Sync>(
 }
 
 /// The fitted-side part of a fuzz trial: FW with sentinels bitwise
-/// against G, and f64 GE within 1e-9.
+/// against G, and f64 GE bitwise too unless the ambient backend fuses
+/// (then within 1e-9).
 fn fitted_one(seed: u64, n: usize, base: usize, label: &str) -> bool {
     let mut rng = Rng(mix(seed ^ 0x5349_4445).max(1));
     let fw = Matrix::from_fn(n, n, |i, j| match (i == j, rng.below(6)) {
@@ -293,7 +298,9 @@ fn fitted_one(seed: u64, n: usize, base: usize, label: &str) -> bool {
         ),
         (
             "ge",
-            fitted_engines_check(&GaussianSpec, &ge, base, |a, b| a.approx_eq(b, 1e-9)),
+            fitted_engines_check(&GaussianSpec, &ge, base, |a, b| {
+                elim_agrees(selected_backend(), a, b)
+            }),
         ),
     ];
     let mut ok = true;
@@ -445,8 +452,8 @@ fn kernels_one(seed: u64, label: &str) -> bool {
         println!("replay with: diffcheck kernels --seed {seed:#x}\n");
     };
 
-    // f64 GE / LU: tolerance comparison (the AVX2 backend fuses
-    // multiply-add, legitimately changing the last bits).
+    // f64 GE / LU: bitwise, except under the AVX2 backend, whose fused
+    // multiply-subtract legitimately changes the last bits.
     let mut ge_init = Matrix::from_fn(n, n, |_, _| rng.below(1000) as f64 / 1000.0 - 0.5);
     for i in 0..n {
         ge_init[(i, i)] = n as f64 + 2.0;
@@ -464,7 +471,7 @@ fn kernels_one(seed: u64, label: &str) -> bool {
         let want = run_with(Backend::Generic, &ge_init, run);
         for &backend in &simd {
             let got = run_with(backend, &ge_init, run);
-            if !got.approx_eq(&want, 1e-9) {
+            if !elim_agrees(backend, &got, &want) {
                 report(
                     app,
                     backend,
@@ -500,7 +507,7 @@ fn kernels_one(seed: u64, label: &str) -> bool {
 
     let tc_init = Matrix::from_fn(n, n, |i, j| i == j || rng.below(4) == 0);
     let tc_run: &dyn Fn(&mut Matrix<bool>) =
-        &|m| gep::core::igep_opt(&TransitiveClosureSpec, m, base);
+        &|m| gep::core::igep_opt(&SemiringSpec::<OrAndBool>::new(), m, base);
     let tc_want = run_with(Backend::Generic, &tc_init, tc_run);
     for &backend in &simd {
         if run_with(backend, &tc_init, tc_run) != tc_want {

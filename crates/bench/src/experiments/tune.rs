@@ -11,8 +11,8 @@ use crate::util::{gflops, print_table, timed_best};
 use crate::workloads::{dd_matrix, random_dist_matrix, rnd_matrix, XorShift};
 use gep_apps::floyd_warshall::FwSpec;
 use gep_apps::matmul::matmul;
-use gep_apps::{GaussianSpec, LuSpec, TransitiveClosureSpec};
-use gep_core::algebra::PlusTimesF64;
+use gep_apps::{GaussianSpec, LuSpec, SemiringSpec};
+use gep_core::algebra::{OrAndBool, PlusTimesF64};
 use gep_core::igep_opt;
 use gep_kernels::{available_backends, set_backend_override, Backend, TuningProfile};
 use gep_matrix::Matrix;
@@ -99,7 +99,7 @@ fn measure(app: &str, n: usize, base: usize, reps: usize) -> (f64, f64) {
             let ops = (n as f64).powi(3);
             let (_, s) = timed_best(reps, || {
                 let mut c = input.clone();
-                igep_opt(&TransitiveClosureSpec, &mut c, base);
+                igep_opt(&SemiringSpec::<OrAndBool>::new(), &mut c, base);
                 c
             });
             (s, gflops(ops, s))

@@ -81,7 +81,8 @@ where
 mod tests {
     use super::*;
     use gep_apps::floyd_warshall::FwSpec;
-    use gep_apps::{GaussianSpec, TransitiveClosureSpec};
+    use gep_apps::{GaussianSpec, SemiringSpec};
+    use gep_core::algebra::OrAndBool;
     use gep_core::gep_iterative;
     use gep_core::TROPICAL_INF;
 
@@ -154,9 +155,9 @@ mod tests {
             i == j || s % 5 == 0
         });
         let mut oracle = input.clone();
-        gep_iterative(&TransitiveClosureSpec, &mut oracle);
+        gep_iterative(&SemiringSpec::<OrAndBool>::new(), &mut oracle);
         let mut c = input.clone();
-        gep_tiled(&TransitiveClosureSpec, &mut c, 4);
+        gep_tiled(&SemiringSpec::<OrAndBool>::new(), &mut c, 4);
         assert_eq!(c, oracle);
     }
 }

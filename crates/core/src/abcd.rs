@@ -451,7 +451,7 @@ mod tests {
     impl GepSpec for GeSpec {
         type Elem = f64;
         fn update(&self, _: usize, _: usize, _: usize, x: f64, u: f64, v: f64, w: f64) -> f64 {
-            x - u * v / w
+            x - (u / w) * v
         }
         fn in_sigma(&self, i: usize, j: usize, k: usize) -> bool {
             i > k && j > k

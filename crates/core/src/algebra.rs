@@ -84,21 +84,34 @@ pub trait EliminationAlgebra: UpdateAlgebra {
     /// singular [`Gf2x64`] block).
     fn inv(a: Self::Elem) -> Option<Self::Elem>;
 
-    /// The elimination update `x ⊖ (u ⊗ w⁻¹ ⊗ v)`.
+    /// The pivot multiplier map `u ↦ u ⊗ w⁻¹` of the pivot `w`: the one
+    /// place an algebra fixes how elimination divides. A kernel builds it
+    /// once per `k` and applies it once per `(k, i)`; by default it
+    /// inverts `w` once and multiplies by `w⁻¹` from the right.
+    ///
+    /// # Panics
+    /// Panics when `w` is not invertible. Exact algebras have no analogue
+    /// of IEEE `inf`/`NaN` to absorb a singular pivot, so (as in the
+    /// paper) inputs must have nonsingular leading principal minors.
+    #[inline(always)]
+    fn multiplier(w: Self::Elem) -> impl Fn(Self::Elem) -> Self::Elem {
+        let winv = Self::inv(w).expect("elimination pivot is not invertible");
+        move |u| Self::mul(u, winv)
+    }
+
+    /// The elimination update `x ⊖ (u ⊗ w⁻¹) ⊗ v`, built from
+    /// [`multiplier`](Self::multiplier) so that the per-cell update and
+    /// the hoisted tile kernels round alike.
     ///
     /// The multiplication order is load-bearing for noncommutative
     /// algebras ([`Gf2x64`]): the multiplier `u ⊗ w⁻¹` acts from the
     /// left on the pivot row element `v`.
     ///
     /// # Panics
-    /// Panics when `w` is not invertible. Exact algebras have no analogue
-    /// of IEEE `inf`/`NaN` to absorb a singular pivot, so (as in the
-    /// paper) inputs must have nonsingular leading principal minors —
-    /// see `gep_apps::reference::well_conditioned` style generators.
+    /// As [`multiplier`](Self::multiplier).
     #[inline(always)]
     fn eliminate(x: Self::Elem, u: Self::Elem, v: Self::Elem, w: Self::Elem) -> Self::Elem {
-        let winv = Self::inv(w).expect("elimination pivot is not invertible");
-        Self::sub(x, Self::mul(Self::mul(u, winv), v))
+        Self::sub(x, Self::mul(Self::multiplier(w)(u), v))
     }
 }
 
@@ -106,8 +119,9 @@ pub trait EliminationAlgebra: UpdateAlgebra {
 // Numeric algebras
 // ---------------------------------------------------------------------------
 
-/// Ordinary `(f64, +, ×)` — the algebra of Gaussian-elimination-style
-/// updates and real matrix multiplication.
+/// Ordinary `(f64, +, ×)` — the algebra of Gaussian elimination
+/// (`x − (u / w)·v`, see [`EliminationAlgebra::multiplier`]) and real
+/// matrix multiplication.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PlusTimesF64;
 
@@ -135,14 +149,13 @@ impl EliminationAlgebra for PlusTimesF64 {
     fn inv(a: f64) -> Option<f64> {
         (a != 0.0).then(|| 1.0 / a)
     }
-    /// `x - u * (v / w)`. This is *not* the operation order of the other
-    /// f64 elimination paths: `GaussianSpec::update` (the G oracle)
-    /// computes `x - (u * v) / w` and every `gep-kernels` GE kernel
-    /// computes `x - (u / w) * v`, so results agree with them to rounding,
-    /// not bitwise. Unifying the three orders is ROADMAP item 5.
+    /// `u / w`, a division rather than a product with `1 / w`, so every
+    /// f64 elimination — the G oracle, the scalar tile kernel and every
+    /// `gep-kernels` GE kernel — computes `x - (u / w) * v`. A zero pivot
+    /// gives IEEE `inf`/`NaN` instead of a panic.
     #[inline(always)]
-    fn eliminate(x: f64, u: f64, v: f64, w: f64) -> f64 {
-        x - u * (v / w)
+    fn multiplier(w: f64) -> impl Fn(f64) -> f64 {
+        move |u| u / w
     }
 }
 

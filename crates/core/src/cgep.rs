@@ -29,7 +29,7 @@
 use crate::spec::GepSpec;
 use crate::store::CellStore;
 use crate::walk::{walk_leaves, Cube};
-use gep_matrix::Matrix;
+use gep_matrix::{halves_to_leaf, Matrix};
 use std::ops::ControlFlow;
 
 /// Runs C-GEP (Figure 3) on `c`, allocating the four snapshot matrices
@@ -38,7 +38,9 @@ use std::ops::ControlFlow;
 /// Equivalent to [`gep_iterative`] for **every** spec.
 ///
 /// # Panics
-/// Panics unless `c` is square with a power-of-two side.
+/// Panics unless `c` is square with a side that halves exactly down to
+/// leaves of side `<= base_size` ([`gep_matrix::halves_to_leaf`]): a
+/// power of two, or a [`gep_matrix::fit_side`] for the same base.
 pub fn cgep_full<S>(spec: &S, c: &mut Matrix<S::Elem>, base_size: usize)
 where
     S: GepSpec,
@@ -61,7 +63,8 @@ where
 /// `false` if the stores already hold a copy of `c`.
 ///
 /// # Panics
-/// Panics on size mismatch or non-power-of-two side.
+/// Panics on size mismatch, or unless the side halves exactly down to
+/// leaves of side `<= base_size` ([`gep_matrix::halves_to_leaf`]).
 #[allow(clippy::too_many_arguments)]
 pub fn cgep_full_with<S, St>(
     spec: &S,
@@ -80,8 +83,10 @@ pub fn cgep_full_with<S, St>(
     if n == 0 {
         return; // Σ ⊆ [0,0)³ is empty — match gep_iterative's no-op.
     }
-    // The walker also takes fitted sides; see ROADMAP.md, "One side rule".
-    assert!(n.is_power_of_two(), "C-GEP needs a power-of-two side");
+    assert!(
+        halves_to_leaf(n, base_size),
+        "C-GEP needs side = leaf·power-of-two with leaf <= base"
+    );
     assert!(u0.n() == n && u1.n() == n && v0.n() == n && v1.n() == n);
     if init_aux {
         u0.copy_from_store(c);

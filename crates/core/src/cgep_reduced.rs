@@ -29,6 +29,7 @@ use crate::cgep::for_each_in_leaf;
 use crate::spec::GepSpec;
 use crate::store::CellStore;
 use crate::walk::{walk_leaves, Cube};
+use gep_matrix::halves_to_leaf;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::ControlFlow;
@@ -288,7 +289,8 @@ impl<S: GepSpec> SnapStore<'_, S> {
 /// Returns space/bookkeeping statistics.
 ///
 /// # Panics
-/// Panics unless `c` is square with a power-of-two side.
+/// Panics unless `c` is square with a side that halves exactly down to
+/// leaves of side `<= base_size` ([`gep_matrix::halves_to_leaf`]).
 pub fn cgep_reduced<S, St>(spec: &S, c: &mut St, base_size: usize) -> ReducedSpaceStats
 where
     S: GepSpec,
@@ -299,8 +301,10 @@ where
         // Σ ⊆ [0,0)³ is empty: nothing to do, nothing ever live.
         return ReducedSpaceStats::default();
     }
-    // The walker also takes fitted sides; see ROADMAP.md, "One side rule".
-    assert!(n.is_power_of_two(), "C-GEP needs a power-of-two side");
+    assert!(
+        halves_to_leaf(n, base_size),
+        "C-GEP needs side = leaf·power-of-two with leaf <= base"
+    );
     let mut snaps = SnapStore {
         spec,
         n,

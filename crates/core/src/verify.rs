@@ -21,7 +21,7 @@ use crate::cgep::run_leaf;
 use crate::spec::{ClosureSpec, ExplicitSet, GepSpec};
 use crate::trace::UpdateRecord;
 use crate::walk::{walk_leaves, Cube};
-use gep_matrix::Matrix;
+use gep_matrix::{halves_to_leaf, Matrix};
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::ControlFlow;
@@ -549,7 +549,8 @@ pub fn diff_engines<S: GepSpec>(
 /// candidates freely.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AffineInstance {
-    /// Matrix side (power of two for the recursive engines).
+    /// Matrix side: one that halves to a leaf for the recursive engines
+    /// (`gep_matrix::halves_to_leaf`), a power of two for `cgep_parallel`.
     pub n: usize,
     /// Explicit update set (duplicates are collapsed by the spec).
     pub sigma: Vec<(usize, usize, usize)>,
@@ -750,8 +751,10 @@ where
     if n == 0 {
         return;
     }
-    // The walker also takes fitted sides; see ROADMAP.md, "One side rule".
-    assert!(n.is_power_of_two(), "C-GEP needs a power-of-two side");
+    assert!(
+        halves_to_leaf(n, base_size),
+        "C-GEP needs side = leaf·power-of-two with leaf <= base"
+    );
     let mut u0 = c.clone();
     let mut u1 = c.clone();
     let mut v0 = c.clone();

@@ -193,9 +193,8 @@ mod tests {
 
     /// The walk covers Σ exactly once: its leaves' Σ-counts sum to |Σ|,
     /// there are as many as `igep_step_count` says, and every engine on
-    /// the walk — `igep`, and on power-of-two sides both C-GEPs — records
-    /// one call per node entered, one base case per leaf and one update
-    /// per triple of Σ.
+    /// the walk — `igep` and both C-GEPs — records one call per node
+    /// entered, one base case per leaf and one update per triple of Σ.
     fn check_cover<S: GepSpec<Elem = i64>>(spec: &S, n: usize, base: usize, sigma: u64) {
         let (walked, nodes) = leaves(spec, n, base);
         let covered: u64 = walked
@@ -208,16 +207,16 @@ mod tests {
         assert_eq!(covered, sigma, "n={n} base={base}");
         assert_eq!(walked.len() as u64, igep_step_count(spec, n, base));
         let record = |run: &dyn Fn()| gep_obs::record(Recorder::counters_only(), run).1;
-        let mut runs = vec![("igep", record(&|| igep(spec, &mut input(n), base)))];
-        if n.is_power_of_two() {
-            runs.push(("cgep", record(&|| cgep_full(spec, &mut input(n), base))));
-            runs.push((
+        let runs = [
+            ("igep", record(&|| igep(spec, &mut input(n), base))),
+            ("cgep", record(&|| cgep_full(spec, &mut input(n), base))),
+            (
                 "cgep_reduced",
                 record(&|| {
                     cgep_reduced(spec, &mut input(n), base);
                 }),
-            ));
-        }
+            ),
+        ];
         for (engine, rec) in runs {
             let got =
                 ["calls", "base_cases", "updates"].map(|c| rec.counter(&format!("{engine}.{c}")));
@@ -267,25 +266,25 @@ mod tests {
         igep_step_count(&SumSpec, 1500, 64);
     }
 
-    // Side 12 with base 4 halves to leaves of 3, which the walk accepts
-    // (above); the C-GEP entry points still take only powers of two.
+    // Side 12 halves to leaves of 3: the C-GEP entry points accept it
+    // with base 4 (above) and reject it with base 2.
 
     #[test]
     #[should_panic(expected = "power-of-two")]
-    fn cgep_full_rejects_a_fitted_side() {
-        cgep_full(&SumSpec, &mut input(12), 4);
+    fn cgep_full_rejects_side_that_does_not_halve_to_a_leaf() {
+        cgep_full(&SumSpec, &mut input(12), 2);
     }
 
     #[test]
     #[should_panic(expected = "power-of-two")]
-    fn cgep_reduced_rejects_a_fitted_side() {
-        cgep_reduced(&SumSpec, &mut input(12), 4);
+    fn cgep_reduced_rejects_side_that_does_not_halve_to_a_leaf() {
+        cgep_reduced(&SumSpec, &mut input(12), 2);
     }
 
     #[test]
     #[should_panic(expected = "power-of-two")]
-    fn cgep_full_buggy_rejects_a_fitted_side() {
-        cgep_full_buggy(&SumSpec, &mut input(12), 4);
+    fn cgep_full_buggy_rejects_side_that_does_not_halve_to_a_leaf() {
+        cgep_full_buggy(&SumSpec, &mut input(12), 2);
     }
 
     #[test]

@@ -493,9 +493,15 @@ fn publish_progress(
 /// Publishes `ckpt.*` counters/gauges to `gep_obs` when a recorder is
 /// installed.
 ///
+/// The schedule is `igep_resumable`'s, so `n` must halve exactly down to
+/// leaves of side `<= cfg.base` (`gep_matrix::halves_to_leaf`). Only
+/// power-of-two sides are exercised (the crash axis and the resume
+/// experiment); fitted sides wait for their own crash differential
+/// (ROADMAP.md, "One side rule").
+///
 /// # Panics
-/// Panics on schedule violations (non-power-of-two `n`, zero
-/// `snapshot_every`) and propagates injected crashes.
+/// Panics on schedule violations (a side that does not halve to a leaf,
+/// zero `snapshot_every`) and propagates injected crashes.
 pub fn run_checkpointed<S, T>(
     spec: &S,
     input: &Matrix<T>,

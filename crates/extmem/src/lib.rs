@@ -20,6 +20,12 @@
 //!
 //! The harness reads back [`IoStats`]: block transfers, bytes, and the
 //! modelled *I/O wait time* that Figure 7 plots.
+//!
+//! The stores take any side; the engines over them keep their in-core
+//! side rules. Every out-of-core run here (Figure 7, the resume
+//! experiment, the crash axis) uses power-of-two sides, so those are the
+//! sides whose I/O counts and crash recovery are checked; fitted sides
+//! are ROADMAP.md's "One side rule".
 
 pub mod arena;
 pub mod checkpoint;

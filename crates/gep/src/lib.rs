@@ -61,7 +61,7 @@ pub use gep_parallel as parallel;
 
 /// The commonly needed names in one import.
 pub mod prelude {
-    pub use gep_apps::{FwSpec, GaussianSpec, LuSpec, TransitiveClosureSpec};
+    pub use gep_apps::{FwSpec, GaussianSpec, LuSpec, SemiringSpec};
     pub use gep_core::{
         cgep_full, cgep_reduced, gep_iterative, igep, igep_opt, CellStore, GepSpec,
     };

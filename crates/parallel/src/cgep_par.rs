@@ -32,6 +32,10 @@ impl<T> Copy for Mats<'_, T> {}
 /// Runs multithreaded C-GEP (4n² variant) on the current rayon pool;
 /// equivalent to iterative GEP for **every** spec.
 ///
+/// Unlike the sequential C-GEPs, this engine keeps the power-of-two rule:
+/// its Figure 6 grouping is its own recursion, not the leaf walker, and
+/// no differential covers it on a fitted side yet (ROADMAP.md, "One side rule").
+///
 /// # Panics
 /// Panics unless `c` is square with a power-of-two side.
 pub fn cgep_parallel<S>(spec: &S, c: &mut Matrix<S::Elem>, base_size: usize)

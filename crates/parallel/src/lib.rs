@@ -175,8 +175,8 @@ mod tests {
     use super::*;
     use gep_apps::floyd_warshall::FwSpec;
     use gep_apps::matmul::matmul;
-    use gep_apps::{GaussianSpec, LuSpec, TransitiveClosureSpec};
-    use gep_core::algebra::PlusTimesF64;
+    use gep_apps::{GaussianSpec, LuSpec, SemiringSpec};
+    use gep_core::algebra::{OrAndBool, PlusTimesF64};
     use gep_core::{gep_iterative, igep_opt, TROPICAL_INF};
 
     fn random_dist(n: usize, seed: u64) -> Matrix<i64> {
@@ -308,10 +308,11 @@ mod tests {
             s ^= s << 17;
             i == j || s % 6 == 0
         });
+        let tc = SemiringSpec::<OrAndBool>::new();
         let mut g = init.clone();
-        gep_iterative(&TransitiveClosureSpec, &mut g);
+        gep_iterative(&tc, &mut g);
         let mut par = init.clone();
-        with_threads(4, || igep_parallel(&TransitiveClosureSpec, &mut par, 4));
+        with_threads(4, || igep_parallel(&tc, &mut par, 4));
         assert_eq!(par, g);
     }
 

@@ -2,14 +2,19 @@
 //! every engine, compared against iterative GEP (the defining semantics),
 //! across sizes and base cases.
 
-use gep::apps::{FwSpec, GaussianSpec, LuSpec, TransitiveClosureSpec};
-use gep::core::algebra::PlusTimesF64;
+use gep::apps::{FwSpec, GaussianSpec, LuSpec, SemiringSpec};
+use gep::core::algebra::{OrAndBool, PlusTimesF64};
 use gep::core::{
     cgep_full, cgep_reduced, gep_iterative, igep, igep_opt, ClosureSpec, ExplicitSet, GepSpec,
     SumSpec,
 };
+use gep::kernels::selected_backend;
 use gep::matrix::Matrix;
 use gep::parallel::{cgep_parallel, igep_parallel, igep_parallel_simple, with_threads};
+use gep::verify::elim_agrees;
+
+/// Boolean transitive closure: the closure spec over `(∨, ∧)`.
+const TC: SemiringSpec<OrAndBool> = SemiringSpec::new();
 
 /// Runs one spec through all engines on one input; panics with a labelled
 /// message on the first divergence. `exact` controls bitwise vs approx
@@ -87,19 +92,22 @@ fn transitive_closure_all_engines() {
     for n in [2usize, 8, 32] {
         let mut rng = xorshift(n as u64 * 77);
         let input = Matrix::from_fn(n, n, |i, j| i == j || rng() % 4 == 0);
-        check_all_engines(&TransitiveClosureSpec, &input, &format!("TC n={n}"));
+        check_all_engines(&TC, &input, &format!("TC n={n}"));
     }
 }
 
-/// f64 engines compared with tolerance (division orders coincide here, so
-/// bitwise equality actually holds for GE/LU across our engines — but we
-/// keep the assertion on values to document the guarantee we rely on).
+/// f64 engines against G under the ambient kernel backend: bitwise
+/// where the backend rounds every multiply and subtract on its own (each
+/// engine then applies G's operations to each cell in G's order), within
+/// 1e-9 where its kernels fuse multiply-subtract
+/// ([`gep::verify::fuses`]).
 fn check_all_engines_f64<S>(spec: &S, input: &Matrix<f64>, label: &str)
 where
     S: GepSpec<Elem = f64> + Sync,
 {
     let mut oracle = input.clone();
     gep_iterative(spec, &mut oracle);
+    let same = |m: &Matrix<f64>| elim_agrees(selected_backend(), m, &oracle);
     for base in [1usize, 4, 16] {
         for (name, m) in [
             ("igep", {
@@ -124,7 +132,7 @@ where
             }),
         ] {
             assert!(
-                m.approx_eq(&oracle, 1e-9),
+                same(&m),
                 "{label}: {name} base={base}, err={}",
                 m.max_abs_diff(&oracle)
             );
@@ -132,11 +140,11 @@ where
     }
     let mut m = input.clone();
     with_threads(2, || igep_parallel(spec, &mut m, 8));
-    assert!(m.approx_eq(&oracle, 1e-9), "{label}: parallel");
+    assert!(same(&m), "{label}: parallel");
 
     let mut m = input.clone();
     with_threads(2, || cgep_parallel(spec, &mut m, 8));
-    assert!(m.approx_eq(&oracle, 1e-9), "{label}: cgep_parallel");
+    assert!(same(&m), "{label}: cgep_parallel");
 }
 
 #[test]
@@ -219,6 +227,70 @@ fn recorded_regression_deterministic() {
         with_threads(3, || cgep_parallel(&spec, &mut m, base));
         assert_eq!(m, oracle, "cgep_parallel base={base}");
     }
+}
+
+/// C-GEP on fitted sides: `cgep_full` and `cgep_reduced` equal G bit for
+/// bit over random affine `f` and explicit Σ on sides `leaf·2^q` that are
+/// not powers of two, and the reduced variant's live snapshots peak
+/// within `n² + n`. I-GEP must diverge from G on some of these instances,
+/// or they would not tell a fully general engine from I-GEP.
+#[test]
+fn cgep_engines_match_g_on_fitted_sides() {
+    use gep::verify::AffineInstance;
+    let sides = [
+        (6usize, 3usize),
+        (10, 5),
+        (12, 3),
+        (14, 7),
+        (20, 5),
+        (24, 6),
+        (28, 7),
+        (40, 5),
+        (48, 6),
+        (56, 7),
+    ];
+    let mut igep_diverged = 0;
+    for (n, base) in sides {
+        assert!(!n.is_power_of_two() && gep::matrix::halves_to_leaf(n, base));
+        for seed in 0..2u64 {
+            let mut rng = xorshift((n as u64) << 8 | seed);
+            let mut below = |m: usize| (rng() % m as u64) as usize;
+            let count = below(n * n * n / 2 + 1);
+            let inst = AffineInstance {
+                n,
+                sigma: (0..count).map(|_| (below(n), below(n), below(n))).collect(),
+                coeffs: (
+                    below(7) as i64 - 3,
+                    below(7) as i64 - 3,
+                    below(7) as i64 - 3,
+                    below(7) as i64 - 3,
+                ),
+                vals: (0..n * n).map(|_| below(201) as i64 - 100).collect(),
+            };
+            let (spec, init) = (inst.spec(), inst.init());
+            let label = format!("n={n} base={base} seed={seed}");
+            let mut oracle = init.clone();
+            gep_iterative(&spec, &mut oracle);
+
+            let mut m = init.clone();
+            cgep_full(&spec, &mut m, base);
+            assert_eq!(m, oracle, "cgep_full {label}");
+
+            let mut m = init.clone();
+            let stats = cgep_reduced(&spec, &mut m, base);
+            assert_eq!(m, oracle, "cgep_reduced {label}");
+            assert!(
+                stats.peak_live_snapshots <= n * n + n,
+                "cgep_reduced {label}: peak {} > n² + n",
+                stats.peak_live_snapshots
+            );
+
+            let mut m = init.clone();
+            igep(&spec, &mut m, base);
+            igep_diverged += usize::from(m != oracle);
+        }
+    }
+    assert!(igep_diverged > 0, "no instance tells C-GEP from I-GEP");
 }
 
 /// An arbitrary-Σ ClosureSpec instance (not any named application) for the
@@ -383,6 +455,6 @@ fn degenerate_sizes_all_engines() {
         let mut d = Matrix::from_fn(n, n, |_, _| 0i64);
         igep(&FwSpec::<i64>::new(), &mut d, 1);
         let mut t = Matrix::from_fn(n, n, |_, _| true);
-        igep(&TransitiveClosureSpec, &mut t, 1);
+        igep(&TC, &mut t, 1);
     }
 }

@@ -1,8 +1,10 @@
 //! Differential verification of the `gep-kernels` backends: every
 //! (application × backend × base size × n) combination must reproduce the
 //! iterative G engine wherever I-GEP is exact — bitwise for `i64`/`bool`
-//! (and FW over `f64`: add + min round identically on every path), to
-//! 1e-9 for the fused-capable f64 eliminations — including n = 0, n = 1,
+//! (and FW over `f64`: add + min round identically on every path), and
+//! for the f64 eliminations on every backend that does not fuse
+//! multiply-subtract (to 1e-9 on one that does, see
+//! [`gep::verify::fuses`]) — including n = 0, n = 1,
 //! odd sides (driven as a single non-power-of-two base case) and base
 //! sizes that do not divide n.
 //!
@@ -10,13 +12,17 @@
 //! serializes on one mutex and drops the override before releasing it.
 
 use gep::apps::matmul::{matmul, MatMulEmbedSpec};
-use gep::apps::{FwSpec, GaussianSpec, LuSpec, TransitiveClosureSpec};
-use gep::core::algebra::PlusTimesF64;
+use gep::apps::{FwSpec, GaussianSpec, LuSpec, SemiringSpec};
+use gep::core::algebra::{OrAndBool, PlusTimesF64};
 use gep::core::{gep_iterative, igep_opt, BoxShape, GepMat, GepSpec};
 use gep::kernels::{available_backends, set_backend_override, Backend};
 use gep::matrix::Matrix;
+use gep::verify::elim_agrees;
 use proptest::prelude::*;
 use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Boolean transitive closure: the closure spec over `(∨, ∧)`.
+const TC: SemiringSpec<OrAndBool> = SemiringSpec::new();
 
 /// Serializes the record/override windows across the harness threads.
 static LOCK: Mutex<()> = Mutex::new(());
@@ -135,7 +141,7 @@ fn gaussian_every_backend_base_and_size() {
             for base in BASES {
                 let got = igep_with(&GaussianSpec, &init, base, backend);
                 assert!(
-                    got.approx_eq(&oracle, 1e-9),
+                    elim_agrees(backend, &got, &oracle),
                     "GE {} n={n} base={base}: err={:e}",
                     backend.name(),
                     got.max_abs_diff(&oracle)
@@ -156,7 +162,7 @@ fn lu_every_backend_base_and_size() {
             for base in BASES {
                 let got = igep_with(&LuSpec, &init, base, backend);
                 assert!(
-                    got.approx_eq(&oracle, 1e-9),
+                    elim_agrees(backend, &got, &oracle),
                     "LU {} n={n} base={base}: err={:e}",
                     backend.name(),
                     got.max_abs_diff(&oracle)
@@ -208,10 +214,10 @@ fn transitive_closure_bitwise_every_backend() {
     for n in SIDES {
         let init = adj_bool(n, 0xE5 + n as u64);
         let mut oracle = init.clone();
-        gep_iterative(&TransitiveClosureSpec, &mut oracle);
+        gep_iterative(&TC, &mut oracle);
         for backend in backends_under_test() {
             for base in BASES {
-                let got = igep_with(&TransitiveClosureSpec, &init, base, backend);
+                let got = igep_with(&TC, &init, base, backend);
                 assert_eq!(got, oracle, "TC {} n={n} base={base}", backend.name());
             }
         }
@@ -300,8 +306,8 @@ fn odd_sides_single_box_matches_g() {
 
             let init = adj_bool(n, 0x44 + n as u64);
             let mut oracle = init.clone();
-            gep_iterative(&TransitiveClosureSpec, &mut oracle);
-            let got = single_box_with(&TransitiveClosureSpec, &init, backend);
+            gep_iterative(&TC, &mut oracle);
+            let got = single_box_with(&TC, &init, backend);
             assert_eq!(got, oracle, "TC single-box {} n={n}", backend.name());
         }
     }
@@ -322,7 +328,7 @@ fn no_fallback_on_power_of_two_full_sigma_runs() {
     let mut fw = dist_i64(n, 3);
     igep_opt(&FwSpec::<i64>::new(), &mut fw, 4);
     let mut tc = adj_bool(n, 4);
-    igep_opt(&TransitiveClosureSpec, &mut tc, 4);
+    igep_opt(&TC, &mut tc, 4);
     let mut rng = xorshift(5);
     let a = Matrix::from_fn(n, n, |_, _| (rng() % 200) as f64 / 100.0 - 1.0);
     let _ = matmul::<PlusTimesF64>(&a, &a, 4);
