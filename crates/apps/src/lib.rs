@@ -32,7 +32,7 @@
 //! * [`simple_dp`] — the parenthesis problem ("simple DP"), the paper's
 //!   cited non-GEP adaptation of the framework, with a polygon
 //!   triangulation instance;
-//! * [`reference`] — independent textbook implementations used as test
+//! * [`reference`](mod@reference) — independent textbook implementations used as test
 //!   oracles throughout the workspace.
 
 pub mod closure;

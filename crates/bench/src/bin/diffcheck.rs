@@ -9,7 +9,7 @@
 //!
 //! * `regression` — replays the shrunk instance recorded in
 //!   `tests/properties.proptest-regressions` for `cgep_is_fully_general`
-//!   through all eight engines and prints each verdict. The fully general
+//!   through all seven engines and prints each verdict. The fully general
 //!   engines (C-GEP family) must match G exactly; I-GEP divergence on this
 //!   arbitrary Σ is expected (paper §2.2.1) and printed as such.
 //! * `demo` — runs the deliberately broken `cgep_full_buggy` (the
@@ -17,16 +17,17 @@
 //!   prints the localized first divergent update with operand/slot/τ
 //!   diagnosis, then delta-minimizes the instance and reports the shrunk
 //!   witness.
-//! * `fuzz [trials]` — random general-Σ instances through all eight
+//! * `fuzz [trials]` — random general-Σ instances through all seven
 //!   engines; any divergence of a fully general engine is localized and
 //!   reported (exit code 1). Every instance has its own RNG seed, printed
 //!   on failure; `fuzz --seed <u64>` (decimal or 0x-hex) replays exactly
-//!   that instance deterministically. One seed in 40 also runs an FW
-//!   and an f64 GE instance on a fitted side ([`FITTED`]: a
-//!   non-power-of-two `leaf·2^q`) through the four I-GEP engines that
-//!   accept such sides, against G: bitwise for FW, and for GE unless the
-//!   ambient kernel backend fuses multiply-subtract (AVX2; then within
-//!   1e-9).
+//!   that instance deterministically. One seed in 8 also runs a second
+//!   general-Σ instance, on a small fitted side ([`FITTED_SMALL`]: a
+//!   non-power-of-two `leaf·2^q`), through all seven engines the same
+//!   way. One seed in 40 also runs an FW and an f64 GE instance on a
+//!   larger fitted side ([`FITTED`]) through the in-core I-GEP and C-GEP
+//!   engines, against G: bitwise for FW, and for GE unless the ambient
+//!   kernel backend fuses multiply-subtract (AVX2; then within 1e-9).
 //! * `kernels [trials]` — the specialized-vs-generic kernel axis: random
 //!   instances of the five kernel-backed applications (GE, LU, FW, TC,
 //!   MM) run with each `gep-kernels` backend the host supports, compared
@@ -52,8 +53,8 @@
 //!   case, and the matmul embed-vs-recursion bitwise invariant. All
 //!   algebras here are exact, so every comparison is bitwise. One seed
 //!   in 8 runs the closure and GF(2³¹−1) instances on a fitted side
-//!   ([`FITTED`]), without C-GEP and the embed invariant, which need a
-//!   power of two. One seed in 4 also checks a wide copy of its
+//!   ([`FITTED`]), without the embed invariant, whose matmul recursion
+//!   needs a power of two. One seed in 4 also checks a wide copy of its
 //!   `(min,+)` instance, as the kernels axis does; on that copy the two
 //!   I-GEP engines are not held to the oracle (out-of-range weights break
 //!   the laws they rely on), while G, C-GEP and every backend still are.
@@ -246,8 +247,9 @@ fn wide_copy(seed: u64, one_in: u64, init: &Matrix<i64>) -> Option<Matrix<i64>> 
 /// An engine entry point: `(spec, matrix, base)`.
 type EngineFn<S> = fn(&S, &mut Matrix<<S as GepSpec>::Elem>, usize);
 
-/// Runs `init` through G and through the four engines that take fitted
-/// sides; returns the engines whose result `same` rejects against G's.
+/// Runs `init` through G and through the in-core engines on a fitted
+/// side, I-GEP's and C-GEP's; returns the engines whose result `same`
+/// rejects against G's.
 fn fitted_engines_check<S: GepSpec + Sync>(
     spec: &S,
     init: &Matrix<S::Elem>,
@@ -256,14 +258,15 @@ fn fitted_engines_check<S: GepSpec + Sync>(
 ) -> Vec<&'static str> {
     let mut g = init.clone();
     gep::core::gep_iterative(spec, &mut g);
-    let engines: [(&'static str, EngineFn<S>); 4] = [
+    let engines: [(&'static str, EngineFn<S>); 5] = [
         ("igep", |s, c, b| gep::core::igep(s, c, b)),
         ("igep_opt", |s, c, b| gep::core::igep_opt(s, c, b)),
         ("igep_parallel", |s, c, b| {
             gep::parallel::igep_parallel(s, c, b)
         }),
-        ("igep_parallel_simple", |s, c, b| {
-            gep::parallel::igep_parallel_simple(s, c, b)
+        ("cgep_full", |s, c, b| gep::core::cgep_full(s, c, b)),
+        ("cgep_parallel", |s, c, b| {
+            gep::parallel::cgep_parallel(s, c, b)
         }),
     ];
     engines
@@ -322,6 +325,27 @@ fn random_instance(seed: u64) -> AffineInstance {
     // xorshift has 0 as a fixed point; remap it rather than hang.
     let mut rng = Rng(seed.max(1));
     let n = 1usize << (1 + rng.below(3));
+    affine_instance(&mut rng, n)
+}
+
+/// Small non-power-of-two sides `leaf·2^q` with a base that halves each
+/// exactly to its leaf, for general-Σ instances: every engine's full
+/// update trace is compared against G's there, so they stay small.
+const FITTED_SMALL: [(usize, usize); 4] = [(6, 3), (10, 5), (12, 3), (20, 5)];
+
+/// For one seed in `one_in`, a general-Σ instance on a side of
+/// [`FITTED_SMALL`], with its base. Drawn from a stream of its own, so
+/// every seed still replays the power-of-two instance it always did.
+fn fitted_instance(seed: u64, one_in: u64) -> Option<(AffineInstance, usize)> {
+    let mut rng = Rng(mix(seed ^ 0x4146_4649).max(1));
+    (rng.below(one_in) == 0).then(|| {
+        let (n, base) = FITTED_SMALL[rng.below(FITTED_SMALL.len() as u64) as usize];
+        (affine_instance(&mut rng, n), base)
+    })
+}
+
+/// Draws a general-Σ affine instance of side `n` from `rng`.
+fn affine_instance(rng: &mut Rng, n: usize) -> AffineInstance {
     let count = rng.below((n * n * n + 1) as u64) as usize;
     let sigma = (0..count)
         .map(|_| {
@@ -347,14 +371,26 @@ fn random_instance(seed: u64) -> AffineInstance {
     }
 }
 
-/// Checks the instance of one seed through all engines; prints the seed
-/// with any violation so the instance can be replayed via `--seed`.
+/// Checks the instance(s) of one seed through all engines; prints the
+/// seed with any violation so the instance can be replayed via `--seed`.
 fn fuzz_one(seed: u64, label: &str) -> bool {
-    let inst = random_instance(seed);
+    let mut ok = fuzz_engines(&random_instance(seed), &[1, 2], seed, label);
+    if let Some((inst, base)) = fitted_instance(seed, 8) {
+        ok &= fuzz_engines(&inst, &[base], seed, &format!("{label}, fitted side"));
+    }
+    if let Some((n, base)) = fitted_draw(seed, 40) {
+        ok &= fitted_one(seed, n, base, label);
+    }
+    ok
+}
+
+/// Runs `inst` through all engines at each of `bases`; prints every
+/// violation with the instance and the replay line of `seed`.
+fn fuzz_engines(inst: &AffineInstance, bases: &[usize], seed: u64, label: &str) -> bool {
     let spec = inst.spec();
     let init = inst.init();
     let mut ok = true;
-    for base in [1usize, 2] {
+    for &base in bases {
         for engine in all_engines() {
             let rep = diff_engine(&spec, &init, &engine, base);
             if rep.is_violation() {
@@ -364,9 +400,6 @@ fn fuzz_one(seed: u64, label: &str) -> bool {
                 println!("replay with: diffcheck fuzz --seed {seed:#x}\n");
             }
         }
-    }
-    if let Some((n, base)) = fitted_draw(seed, 40) {
-        ok &= fitted_one(seed, n, base, label);
     }
     ok
 }
@@ -639,16 +672,13 @@ fn closure_algebra_check<A: gep_kernels::AlgebraKernels>(
             );
         }
     }
-    // C-GEP needs a power-of-two side.
-    if init.n().is_power_of_two() {
-        let mut h = init.clone();
-        gep::core::cgep_full(&spec, &mut h, base);
-        if &h != oracle {
-            report(
-                A::NAME,
-                format!("engine H (base {base}) diverges from the scalar oracle"),
-            );
-        }
+    let mut h = init.clone();
+    gep::core::cgep_full(&spec, &mut h, base);
+    if &h != oracle {
+        report(
+            A::NAME,
+            format!("engine H (base {base}) diverges from the scalar oracle"),
+        );
     }
     let run: &dyn Fn(&mut Matrix<A::Elem>) = &|m| gep::core::igep_opt(&spec, m, base);
     let want = run_with(Backend::Generic, init, run);
@@ -730,15 +760,13 @@ fn elim_algebra_check<A>(
             format!("elimination engine A/B/C/D (base {base}) diverges from the scalar oracle"),
         );
     }
-    if init.n().is_power_of_two() {
-        let mut h = init.clone();
-        gep::core::cgep_full(&spec, &mut h, base);
-        if &h != oracle {
-            report(
-                A::NAME,
-                format!("elimination engine H (base {base}) diverges from the oracle"),
-            );
-        }
+    let mut h = init.clone();
+    gep::core::cgep_full(&spec, &mut h, base);
+    if &h != oracle {
+        report(
+            A::NAME,
+            format!("elimination engine H (base {base}) diverges from the oracle"),
+        );
     }
     let run: &dyn Fn(&mut Matrix<A::Elem>) = &|m| gep::core::igep_opt(&spec, m, base);
     let want = run_with(Backend::Generic, init, run);

@@ -15,13 +15,17 @@
 //! Less overlap means fewer ordering constraints and therefore more
 //! parallelism: `D` runs all four quadrant calls of each half concurrently,
 //! `B`/`C` run pairs, `A` is mostly sequential. Because `U`, `V`, `W` are
-//! always determined by `(I, J, K)`, a subproblem is fully described by the
-//! tuple `(xr, xc, kk, s)` — the row origin, column origin, `k`-origin and
-//! side — over a single shared matrix handle [`GepMat`].
+//! always determined by `(I, J, K)`, a subproblem is fully described by
+//! its [`Cube`], and its kind is [`BoxShape::classify`] of the cube's
+//! origin.
 //!
-//! The engine is generic over a [`Joiner`], so the *same* code is the
-//! optimised sequential I-GEP of Section 4.2 (with [`Serial`]) and the
-//! multithreaded I-GEP of Section 3 (with `gep-parallel`'s rayon joiner).
+//! There is one tree, `fig6_tree`, generic over a [`Joiner`] and over its
+//! leaf body. With [`Serial`] it is the optimised sequential I-GEP of
+//! Section 4.2, with `gep-parallel`'s rayon joiner the multithreaded I-GEP
+//! of Section 3. [`igep_abcd`] runs the I-GEP base-case kernels at its
+//! leaves; [`crate::cgep::cgep_abcd`] runs C-GEP's snapshot leaf there
+//! (§3: "a similar parallel algorithm with the same parallel time bound
+//! applies to C-GEP").
 //!
 //! The paper's Fig. 5 distinguishes `B₁/B₂`, `C₁/C₂`, `D₁..D₄` by which
 //! pass they arise in; their *bodies* are identical, so the subscripts are
@@ -31,12 +35,13 @@
 use crate::gepmat::GepMat;
 use crate::joiner::{Joiner, Serial};
 use crate::spec::{BoxShape, GepSpec};
+use crate::walk::Cube;
 use gep_matrix::{halves_to_leaf, Matrix};
 
 /// Optimised sequential I-GEP (Section 4.2): the A/B/C/D recursion with an
 /// iterative base-case kernel of side `base_size`, executed serially.
 ///
-/// Produces the same result as [`crate::igep`] for every spec on which
+/// Produces the same result as [`crate::igep()`] for every spec on which
 /// I-GEP is exact.
 ///
 /// The side must halve exactly down to leaves of side `<= base_size`
@@ -63,18 +68,14 @@ where
     J: Joiner,
 {
     let n = c.n();
-    if n == 0 {
-        return; // Σ ⊆ [0,0)³ is empty — match gep_iterative's no-op.
-    }
-    assert!(base_size >= 1);
-    assert!(
-        halves_to_leaf(n, base_size),
-        "I-GEP needs side = leaf·power-of-two with leaf <= base"
-    );
     let m = GepMat::new(c);
-    // SAFETY: `m` exclusively borrows `c`; `fn_a` upholds the Figure 6
-    // disjoint-writes discipline (see `gepmat` module docs).
-    unsafe { fn_a(joiner, spec, m, 0, 0, 0, n, base_size) }
+    // SAFETY: `m` exclusively borrows `c`, and a base-case kernel writes
+    // only its box and reads only the box's panels (`GepSpec::kernel`).
+    unsafe {
+        fig6_tree(joiner, spec, n, base_size, &|b: Cube, shape| {
+            leaf_kernel(spec, m, b, shape)
+        })
+    }
 }
 
 /// Generic iterative base-case kernel: iterative GEP restricted to the box
@@ -119,21 +120,14 @@ pub unsafe fn generic_kernel<S>(
     }
 }
 
-#[inline]
-fn pruned<S: GepSpec>(spec: &S, xr: usize, xc: usize, kk: usize, s: usize) -> bool {
-    !spec.sigma_intersects((xr, xr + s - 1), (xc, xc + s - 1), (kk, kk + s - 1))
-}
-
 /// Observability accounting for one base-case kernel invocation, gated
 /// on [`gep_obs::enabled`] ([`GepSpec::sigma_count`] may scan the box).
 #[inline]
-fn record_base_case<S: GepSpec>(spec: &S, xr: usize, xc: usize, kk: usize, s: usize) {
+fn record_base_case<S: GepSpec>(spec: &S, b: Cube) {
     if gep_obs::enabled() {
+        let (i, j, k) = b.ranges();
         gep_obs::counter_add("abcd.base_cases", 1);
-        gep_obs::counter_add(
-            "abcd.updates",
-            spec.sigma_count((xr, xr + s - 1), (xc, xc + s - 1), (kk, kk + s - 1)),
-        );
+        gep_obs::counter_add("abcd.updates", spec.sigma_count(i, j, k));
     }
 }
 
@@ -145,22 +139,15 @@ fn record_base_case<S: GepSpec>(spec: &S, xr: usize, xc: usize, kk: usize, s: us
 /// # Safety
 /// Same contract as [`GepSpec::kernel_shaped`] / [`generic_kernel`].
 #[inline]
-unsafe fn leaf_kernel<S: GepSpec>(
-    spec: &S,
-    m: GepMat<'_, S::Elem>,
-    xr: usize,
-    xc: usize,
-    kk: usize,
-    s: usize,
-    shape: BoxShape,
-) {
+unsafe fn leaf_kernel<S: GepSpec>(spec: &S, m: GepMat<'_, S::Elem>, b: Cube, shape: BoxShape) {
+    let Cube { i0, j0, k0, s } = b;
     if !gep_obs::enabled() {
-        spec.kernel_shaped(m, xr, xc, kk, s, shape);
+        spec.kernel_shaped(m, i0, j0, k0, s, shape);
         return;
     }
-    record_base_case(spec, xr, xc, kk, s);
+    record_base_case(spec, b);
     let start = std::time::Instant::now();
-    spec.kernel_shaped(m, xr, xc, kk, s, shape);
+    spec.kernel_shaped(m, i0, j0, k0, s, shape);
     let ns = start.elapsed().as_nanos() as u64;
     gep_obs::hist_record("kernel.leaf_ns", ns);
     let per_shape = match shape {
@@ -172,225 +159,177 @@ unsafe fn leaf_kernel<S: GepSpec>(
     gep_obs::hist_record(per_shape, ns);
 }
 
-/// `A` — all of `X`, `U`, `V`, `W` coincide (`xr == xc == kk`).
+/// Runs the Figure 6 tree over `[0, n)³`, calling `leaf(box, shape)` on
+/// every non-pruned box of side `<= base`, where `shape` is the box's
+/// kind ([`BoxShape::classify`]). The calls of one `parallel:` block of
+/// Figure 6 go to `joiner` together; everything else runs in order.
+///
+/// # Panics
+/// Panics unless `n` is zero (nothing runs) or halves exactly down to
+/// leaves of side `<= base` ([`gep_matrix::halves_to_leaf`]), and
+/// `base >= 1`.
 ///
 /// # Safety
-/// Caller guarantees exclusive access to the subsquare at `(xr, xc)` of
-/// side `s` (which here covers the panels too).
-#[allow(clippy::too_many_arguments)]
-pub unsafe fn fn_a<S, J>(
-    joiner: &J,
-    spec: &S,
-    m: GepMat<'_, S::Elem>,
-    xr: usize,
-    xc: usize,
-    kk: usize,
-    s: usize,
-    base: usize,
-) where
+/// A leaf must write only cells of its box's `X = c[I, J]`, plus
+/// per-cell state kept beside them (such as C-GEP's snapshots of the same
+/// `(i, j)`), and read only `X`, `U = c[I, K]`, `V = c[K, J]` and
+/// `W = c[K, K]`. Figure 6's grouping then gives the calls of each
+/// parallel block pairwise disjoint writes that no other call of the
+/// block reads (`gepmat` module docs), so a leaf body over shared raw
+/// storage is race-free under any joiner.
+pub(crate) unsafe fn fig6_tree<S, J, L>(joiner: &J, spec: &S, n: usize, base: usize, leaf: &L)
+where
     S: GepSpec + Sync,
     J: Joiner,
+    L: Fn(Cube, BoxShape) + Sync,
 {
-    debug_assert!(xr == kk && xc == kk);
-    if pruned(spec, xr, xc, kk, s) {
-        return;
+    if n == 0 {
+        return; // Σ ⊆ [0,0)³ is empty — match gep_iterative's no-op.
     }
-    gep_obs::counter_add("abcd.a.calls", 1);
-    let _span = gep_obs::span("A", "abcd")
-        .arg("xr", xr as i64)
-        .arg("xc", xc as i64)
-        .arg("kk", kk as i64)
-        .arg("s", s as i64);
-    if s <= base {
-        leaf_kernel(spec, m, xr, xc, kk, s, BoxShape::Diagonal);
-        return;
-    }
-    let h = s / 2;
-    // Forward pass (k in first half).
-    fn_a(joiner, spec, m, xr, xc, kk, h, base);
-    joiner.join(
-        // SAFETY: B writes X12 (rows xr.., cols xc+h..) and C writes X21
-        // (rows xr+h.., cols xc..): disjoint; both only read X11/W11,
-        // which neither writes.
-        || fn_b(joiner, spec, m, xr, xc + h, kk, h, base),
-        || fn_c(joiner, spec, m, xr + h, xc, kk, h, base),
+    assert!(base >= 1);
+    assert!(
+        halves_to_leaf(n, base),
+        "the Figure 6 tree needs side = leaf·power-of-two with leaf <= base"
     );
-    fn_d(joiner, spec, m, xr + h, xc + h, kk, h, base);
-    // Backward pass (k in second half).
-    fn_a(joiner, spec, m, xr + h, xc + h, kk + h, h, base);
-    joiner.join(
-        || fn_b(joiner, spec, m, xr + h, xc, kk + h, h, base),
-        || fn_c(joiner, spec, m, xr, xc + h, kk + h, h, base),
-    );
-    fn_d(joiner, spec, m, xr, xc, kk + h, h, base);
-}
-
-/// `B` — `I = K` (row range equals pivot range), `J` disjoint: `X ≡ V`,
-/// `U ≡ W`.
-///
-/// # Safety
-/// As [`fn_a`]; caller guarantees exclusivity of `X` and read-stability of
-/// the pivot block.
-#[allow(clippy::too_many_arguments)]
-pub unsafe fn fn_b<S, J>(
-    joiner: &J,
-    spec: &S,
-    m: GepMat<'_, S::Elem>,
-    xr: usize,
-    xc: usize,
-    kk: usize,
-    s: usize,
-    base: usize,
-) where
-    S: GepSpec + Sync,
-    J: Joiner,
-{
-    debug_assert!(xr == kk);
-    if pruned(spec, xr, xc, kk, s) {
-        return;
-    }
-    gep_obs::counter_add("abcd.b.calls", 1);
-    let _span = gep_obs::span("B", "abcd")
-        .arg("xr", xr as i64)
-        .arg("xc", xc as i64)
-        .arg("kk", kk as i64)
-        .arg("s", s as i64);
-    if s <= base {
-        leaf_kernel(spec, m, xr, xc, kk, s, BoxShape::RowPanel);
-        return;
-    }
-    let h = s / 2;
-    // Forward: the two B-children write X11, X12 (disjoint columns) and
-    // read only the pivot block U11 = W11 outside X.
-    joiner.join(
-        || fn_b(joiner, spec, m, xr, xc, kk, h, base),
-        || fn_b(joiner, spec, m, xr, xc + h, kk, h, base),
-    );
-    // The D-children write X21, X22 and read V11 = X11 / V12 = X12
-    // (finished above) and U21 = c[rows xr+h.., cols kk..kk+h] = W21
-    // region outside X.
-    joiner.join(
-        || fn_d(joiner, spec, m, xr + h, xc, kk, h, base),
-        || fn_d(joiner, spec, m, xr + h, xc + h, kk, h, base),
-    );
-    // Backward: k in second half; bottom row of quadrants first.
-    joiner.join(
-        || fn_b(joiner, spec, m, xr + h, xc, kk + h, h, base),
-        || fn_b(joiner, spec, m, xr + h, xc + h, kk + h, h, base),
-    );
-    joiner.join(
-        || fn_d(joiner, spec, m, xr, xc, kk + h, h, base),
-        || fn_d(joiner, spec, m, xr, xc + h, kk + h, h, base),
+    node(
+        &Tree {
+            joiner,
+            spec,
+            base,
+            leaf,
+        },
+        Cube::root(n),
     );
 }
 
-/// `C` — `J = K` (column range equals pivot range), `I` disjoint:
-/// `X ≡ U`, `V ≡ W`.
-///
-/// # Safety
-/// As [`fn_b`].
-#[allow(clippy::too_many_arguments)]
-pub unsafe fn fn_c<S, J>(
-    joiner: &J,
-    spec: &S,
-    m: GepMat<'_, S::Elem>,
-    xr: usize,
-    xc: usize,
-    kk: usize,
-    s: usize,
+/// What every node of one [`fig6_tree`] run shares.
+struct Tree<'a, S, J, L> {
+    joiner: &'a J,
+    spec: &'a S,
     base: usize,
-) where
-    S: GepSpec + Sync,
-    J: Joiner,
-{
-    debug_assert!(xc == kk);
-    if pruned(spec, xr, xc, kk, s) {
-        return;
-    }
-    gep_obs::counter_add("abcd.c.calls", 1);
-    let _span = gep_obs::span("C", "abcd")
-        .arg("xr", xr as i64)
-        .arg("xc", xc as i64)
-        .arg("kk", kk as i64)
-        .arg("s", s as i64);
-    if s <= base {
-        leaf_kernel(spec, m, xr, xc, kk, s, BoxShape::ColPanel);
-        return;
-    }
-    let h = s / 2;
-    joiner.join(
-        || fn_c(joiner, spec, m, xr, xc, kk, h, base),
-        || fn_c(joiner, spec, m, xr + h, xc, kk, h, base),
-    );
-    joiner.join(
-        || fn_d(joiner, spec, m, xr, xc + h, kk, h, base),
-        || fn_d(joiner, spec, m, xr + h, xc + h, kk, h, base),
-    );
-    joiner.join(
-        || fn_c(joiner, spec, m, xr, xc + h, kk + h, h, base),
-        || fn_c(joiner, spec, m, xr + h, xc + h, kk + h, h, base),
-    );
-    joiner.join(
-        || fn_d(joiner, spec, m, xr, xc, kk + h, h, base),
-        || fn_d(joiner, spec, m, xr + h, xc, kk + h, h, base),
-    );
+    leaf: &'a L,
 }
 
-/// `D` — `I` and `J` both disjoint from `K`: `X`, `U`, `V`, `W` pairwise
-/// non-overlapping, so all four quadrant calls of each `k`-half run
-/// concurrently.
+/// One call of `A`, `B`, `C` or `D` on box `b`; its kind is
+/// `BoxShape::classify` of `b`'s origin.
 ///
 /// # Safety
-/// As [`fn_b`].
-#[allow(clippy::too_many_arguments)]
-pub unsafe fn fn_d<S, J>(
-    joiner: &J,
-    spec: &S,
-    m: GepMat<'_, S::Elem>,
-    xr: usize,
-    xc: usize,
-    kk: usize,
-    s: usize,
-    base: usize,
-) where
+/// As [`fig6_tree`].
+unsafe fn node<S, J, L>(t: &Tree<'_, S, J, L>, b: Cube)
+where
     S: GepSpec + Sync,
     J: Joiner,
+    L: Fn(Cube, BoxShape) + Sync,
 {
-    if pruned(spec, xr, xc, kk, s) {
+    let (i, j, k) = b.ranges();
+    if !t.spec.sigma_intersects(i, j, k) {
         return;
     }
-    gep_obs::counter_add("abcd.d.calls", 1);
-    let _span = gep_obs::span("D", "abcd")
-        .arg("xr", xr as i64)
-        .arg("xc", xc as i64)
-        .arg("kk", kk as i64)
-        .arg("s", s as i64);
-    if s <= base {
-        leaf_kernel(spec, m, xr, xc, kk, s, BoxShape::Disjoint);
+    let shape = BoxShape::classify(b.i0, b.j0, b.k0);
+    let (calls, name) = match shape {
+        BoxShape::Diagonal => ("abcd.a.calls", "A"),
+        BoxShape::RowPanel => ("abcd.b.calls", "B"),
+        BoxShape::ColPanel => ("abcd.c.calls", "C"),
+        BoxShape::Disjoint => ("abcd.d.calls", "D"),
+    };
+    gep_obs::counter_add(calls, 1);
+    let _span = gep_obs::span(name, "abcd")
+        .arg("xr", b.i0 as i64)
+        .arg("xc", b.j0 as i64)
+        .arg("kk", b.k0 as i64)
+        .arg("s", b.s as i64);
+    if b.s <= t.base {
+        (t.leaf)(b, shape);
         return;
     }
-    let h = s / 2;
-    // All four children write disjoint X-quadrants and read panels outside
-    // X entirely.
-    joiner.join4(
-        || fn_d(joiner, spec, m, xr, xc, kk, h, base),
-        || fn_d(joiner, spec, m, xr, xc + h, kk, h, base),
-        || fn_d(joiner, spec, m, xr + h, xc, kk, h, base),
-        || fn_d(joiner, spec, m, xr + h, xc + h, kk, h, base),
-    );
-    joiner.join4(
-        || fn_d(joiner, spec, m, xr, xc, kk + h, h, base),
-        || fn_d(joiner, spec, m, xr, xc + h, kk + h, h, base),
-        || fn_d(joiner, spec, m, xr + h, xc, kk + h, h, base),
-        || fn_d(joiner, spec, m, xr + h, xc + h, kk + h, h, base),
-    );
+    let h = b.s / 2;
+    // The child with quadrant offsets `(di, dj, dk)` in half-sides.
+    let q = |di: usize, dj: usize, dk: usize| Cube {
+        i0: b.i0 + di * h,
+        j0: b.j0 + dj * h,
+        k0: b.k0 + dk * h,
+        s: h,
+    };
+    // SAFETY (every child call): the children of one join write disjoint
+    // quadrants of `X` and read only cells none of them writes (the
+    // comment on each group says which), so `fig6_tree`'s contract holds
+    // for each of them.
+    let go = |c: Cube| node(t, c);
+    let join = |a: Cube, c: Cube| {
+        t.joiner.join(|| go(a), || go(c));
+    };
+    match shape {
+        BoxShape::Diagonal => {
+            // Forward pass (k in first half). B writes X12 and C writes
+            // X21: disjoint; both only read X11/W11, which neither writes.
+            go(q(0, 0, 0));
+            join(q(0, 1, 0), q(1, 0, 0));
+            go(q(1, 1, 0));
+            // Backward pass (k in second half).
+            go(q(1, 1, 1));
+            join(q(1, 0, 1), q(0, 1, 1));
+            go(q(0, 0, 1));
+        }
+        BoxShape::RowPanel => {
+            // Forward: the two B-children write X11, X12 (disjoint
+            // columns) and read only the pivot block U11 = W11 outside X.
+            join(q(0, 0, 0), q(0, 1, 0));
+            // The D-children write X21, X22 and read V11 = X11 / V12 =
+            // X12 (finished above) and U21, a region outside X.
+            join(q(1, 0, 0), q(1, 1, 0));
+            // Backward: k in second half; bottom row of quadrants first.
+            join(q(1, 0, 1), q(1, 1, 1));
+            join(q(0, 0, 1), q(0, 1, 1));
+        }
+        BoxShape::ColPanel => {
+            // The transpose of B: pairs of disjoint rows.
+            join(q(0, 0, 0), q(1, 0, 0));
+            join(q(0, 1, 0), q(1, 1, 0));
+            join(q(0, 1, 1), q(1, 1, 1));
+            join(q(0, 0, 1), q(1, 0, 1));
+        }
+        BoxShape::Disjoint => {
+            // All four children write disjoint X-quadrants and read
+            // panels outside X entirely.
+            for dk in [0, 1] {
+                t.joiner.join4(
+                    || go(q(0, 0, dk)),
+                    || go(q(0, 1, dk)),
+                    || go(q(1, 0, dk)),
+                    || go(q(1, 1, dk)),
+                );
+            }
+        }
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::cgep::cgep_abcd;
     use crate::igep::igep;
     use crate::iterative::gep_iterative;
+    use crate::spec::{ClosureSpec, ExplicitSet};
+    use crate::walk::walk_leaves;
+    use std::ops::ControlFlow;
+    use std::sync::Mutex;
+
+    /// The leaves `fig6_tree` hands its leaf body under [`Serial`], in
+    /// call order, with the shape each was given.
+    pub(crate) fn fig6_leaves<S: GepSpec + Sync>(
+        spec: &S,
+        n: usize,
+        base: usize,
+    ) -> Vec<(Cube, BoxShape)> {
+        let out = Mutex::new(Vec::new());
+        // SAFETY: the leaf body touches no matrix.
+        unsafe {
+            fig6_tree(&Serial, spec, n, base, &|b, shape| {
+                out.lock().unwrap().push((b, shape))
+            })
+        };
+        out.into_inner().unwrap()
+    }
 
     struct MinPlus;
     impl GepSpec for MinPlus {
@@ -603,19 +542,124 @@ mod tests {
             gep_iterative(&MinPlus, &mut g);
             igep_opt(&MinPlus, &mut opt, base);
             assert_eq!(g, opt, "min-plus n={n} base={base}");
-            let init = Matrix::from_fn(n, n, |i, j| {
-                if i == j {
-                    n as f64 * 10.0
-                } else {
-                    ((i * 13 + j * 7) % 10) as f64 / 10.0 + 0.1
-                }
-            });
+            let init = diag_dominant(n);
             let mut g = init.clone();
             let mut opt = init.clone();
             gep_iterative(&GeSpec, &mut g);
             igep_opt(&GeSpec, &mut opt, base);
             assert_eq!(g, opt, "ge n={n} base={base}");
         }
+    }
+
+    /// An `i64` spec on a seeded sparse Σ over `[0, n)³` (about one
+    /// triple in five) whose `f` reveals the order of its reads, so
+    /// I-GEP's result differs from G's.
+    fn sparse_spec(n: usize) -> impl GepSpec<Elem = i64> + Sync {
+        let mut s = 0x5EED + n as u64;
+        let mut keep = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s % 5 == 0
+        };
+        let sigma = ExplicitSet::from_iter(
+            (0..n)
+                .flat_map(|i| (0..n).flat_map(move |j| (0..n).map(move |k| (i, j, k))))
+                .filter(|_| keep()),
+        );
+        let f = |i, j, k, x: i64, u: i64, v: i64, w: i64| {
+            x.wrapping_mul(3)
+                .wrapping_add(u.wrapping_mul(5))
+                .wrapping_sub(v.wrapping_mul(7))
+                .wrapping_add(w)
+                .wrapping_add((i + 2 * j + 4 * k) as i64)
+        };
+        ClosureSpec::new(f, sigma)
+    }
+
+    /// Power-of-two and fitted `(side, base)` pairs for the tree tests.
+    const TREE_SIDES: [(usize, usize); 8] = [
+        (1, 1),
+        (8, 2),
+        (16, 4),
+        (32, 4),
+        (12, 4),
+        (24, 8),
+        (40, 8),
+        (20, 5),
+    ];
+
+    fn diag_dominant(n: usize) -> Matrix<f64> {
+        Matrix::from_fn(n, n, |i, j| {
+            if i == j {
+                n as f64 * 10.0
+            } else {
+                ((i * 13 + j * 7) % 10) as f64 / 10.0 + 0.1
+            }
+        })
+    }
+
+    /// The tree visits exactly the boxes of Figure 2's walk, each as
+    /// often, and hands each its own kind; over full, GE and sparse Σ.
+    #[test]
+    fn fig6_leaves_are_the_walk_leaves() {
+        fn check<S: GepSpec + Sync>(spec: &S, n: usize, base: usize, what: &str) {
+            let tree = fig6_leaves(spec, n, base);
+            for &(b, shape) in &tree {
+                assert_eq!(shape, BoxShape::classify(b.i0, b.j0, b.k0), "{what} {b:?}");
+            }
+            let mut got: Vec<Cube> = tree.into_iter().map(|(b, _)| b).collect();
+            let mut want = Vec::new();
+            walk_leaves(spec, Cube::root(n), base, &mut |b| {
+                want.push(b);
+                ControlFlow::Continue(())
+            });
+            got.sort();
+            want.sort();
+            assert_eq!(got, want, "{what} n={n} base={base}");
+        }
+        for (n, base) in TREE_SIDES {
+            check(&MinPlus, n, base, "full Σ");
+            check(&GeSpec, n, base, "GE Σ");
+            check(&sparse_spec(n), n, base, "sparse Σ");
+        }
+    }
+
+    /// C-GEP's leaf on the tree equals G bit for bit on the same specs,
+    /// where I-GEP on the sparse Σ does not.
+    #[test]
+    fn cgep_abcd_matches_g() {
+        let mut igep_diverged = 0;
+        for (n, base) in TREE_SIDES {
+            let init = random_dist(n, 9 + n as u64);
+            let mut g = init.clone();
+            let mut h = init.clone();
+            gep_iterative(&MinPlus, &mut g);
+            cgep_abcd(&Serial, &MinPlus, &mut h, base);
+            assert_eq!(h, g, "min-plus n={n} base={base}");
+
+            let init = diag_dominant(n);
+            let mut g = init.clone();
+            let mut h = init.clone();
+            gep_iterative(&GeSpec, &mut g);
+            cgep_abcd(&Serial, &GeSpec, &mut h, base);
+            assert_eq!(h, g, "ge n={n} base={base}");
+
+            let spec = sparse_spec(n);
+            let init = Matrix::from_fn(n, n, |i, j| ((i * 7 + j * 13) % 19) as i64 - 9);
+            let mut g = init.clone();
+            let mut h = init.clone();
+            let mut f = init.clone();
+            gep_iterative(&spec, &mut g);
+            cgep_abcd(&Serial, &spec, &mut h, base);
+            igep_opt(&spec, &mut f, base);
+            assert_eq!(h, g, "sparse n={n} base={base}");
+            igep_diverged += usize::from(f != g);
+        }
+        assert!(
+            igep_diverged > 0,
+            "no sparse instance tells C-GEP from I-GEP"
+        );
     }
 
     /// Empty Σ: the engine returns right after checking the side.

@@ -23,9 +23,14 @@
 //! see the initial value, as required. Extra space: 4n² cells; time and
 //! I/O bounds are those of I-GEP.
 //!
-//! The recursion is I-GEP's: [`cgep_full_with`] is a visitor of
-//! [`walk_leaves`] whose leaf body is `run_leaf` below.
+//! The recursion is I-GEP's, and so is the leaf body's home:
+//! [`cgep_full_with`] runs `run_leaf` below at the leaves of
+//! [`walk_leaves`] (Figure 2's order), and [`cgep_abcd`] runs it at the
+//! leaves of the Figure 6 tree, which `gep-parallel` forks.
 
+use crate::abcd::fig6_tree;
+use crate::gepmat::GepMat;
+use crate::joiner::Joiner;
 use crate::spec::GepSpec;
 use crate::store::CellStore;
 use crate::walk::{walk_leaves, Cube};
@@ -35,7 +40,7 @@ use std::ops::ControlFlow;
 /// Runs C-GEP (Figure 3) on `c`, allocating the four snapshot matrices
 /// internally (in-core convenience wrapper over [`cgep_full_with`]).
 ///
-/// Equivalent to [`gep_iterative`] for **every** spec.
+/// Equivalent to [`gep_iterative`](crate::gep_iterative) for **every** spec.
 ///
 /// # Panics
 /// Panics unless `c` is square with a side that halves exactly down to
@@ -105,6 +110,72 @@ pub fn cgep_full_with<S, St>(
     gep_obs::counter_add("cgep.calls", calls);
     gep_obs::counter_add("cgep.base_cases", leaves);
     gep_obs::counter_add("cgep.updates", updates);
+}
+
+/// Runs C-GEP (Figure 3) on the Figure 6 tree under `joiner`, with the
+/// four snapshot matrices allocated internally. With `gep-parallel`'s
+/// rayon joiner this is the multithreaded C-GEP of Section 3.
+///
+/// Equivalent to [`gep_iterative`](crate::gep_iterative) for **every**
+/// spec, under every joiner: an update saves snapshots only into its own
+/// cell `(i, j)`, so a leaf writes only its box of each of the five
+/// matrices, and its snapshot reads fall in the `U`, `V`, `W` panels.
+///
+/// # Panics
+/// Panics unless `c` is square with a side that halves exactly down to
+/// leaves of side `<= base_size` ([`gep_matrix::halves_to_leaf`]), and
+/// `1 <= base_size`.
+pub fn cgep_abcd<S, J>(joiner: &J, spec: &S, c: &mut Matrix<S::Elem>, base_size: usize)
+where
+    S: GepSpec + Sync,
+    J: Joiner,
+{
+    let n = c.n();
+    let mut snapshots = [c.clone(), c.clone(), c.clone(), c.clone()];
+    let [u0, u1, v0, v1] = snapshots.each_mut().map(|m| Shared(GepMat::new(m)));
+    let c = Shared(GepMat::new(c));
+    let leaf = |b: Cube, _| {
+        let (mut c, mut u0, mut u1, mut v0, mut v1) = (c, u0, u1, v0, v1);
+        run_leaf(
+            spec,
+            &mut c,
+            &mut u0,
+            &mut u1,
+            &mut v0,
+            &mut v1,
+            b,
+            |i, j, k| i > k || (i == k && j > k),
+        );
+    };
+    // SAFETY: the five handles borrow their matrices exclusively, and
+    // `run_leaf` on box `b` writes only cells of `b`'s `X` in each of
+    // them and reads `c`'s `X` and the snapshots' `U`, `V`, `W`: the
+    // contract of `fig6_tree`.
+    unsafe { fig6_tree(joiner, spec, n, base_size, &leaf) }
+}
+
+/// A [`GepMat`] read and written as a [`CellStore`], for leaves of the
+/// Figure 6 tree. Its accessors are `GepMat`'s unchecked `get`/`set`:
+/// only `cgep_abcd` builds one, and `fig6_tree`'s contract keeps every
+/// access free of races.
+#[derive(Clone, Copy)]
+struct Shared<'a, T>(GepMat<'a, T>);
+
+impl<T: Copy> CellStore<T> for Shared<'_, T> {
+    #[inline(always)]
+    fn n(&self) -> usize {
+        self.0.n()
+    }
+    #[inline(always)]
+    fn read(&mut self, i: usize, j: usize) -> T {
+        // SAFETY: see the type's doc.
+        unsafe { self.0.get(i, j) }
+    }
+    #[inline(always)]
+    fn write(&mut self, i: usize, j: usize, v: T) {
+        // SAFETY: see the type's doc.
+        unsafe { self.0.set(i, j, v) }
+    }
 }
 
 /// Calls `update(i, j, k)` on each triple of Σ in `leaf`, k-major as in

@@ -1,5 +1,5 @@
 //! `GepMat`: the raw shared-matrix handle used by the optimised and
-//! parallel I-GEP engines.
+//! parallel I-GEP and C-GEP engines.
 //!
 //! The Figure 6 recursion passes four submatrices `X, U, V, W` that may
 //! *alias* (in `A` they are all the same subsquare) and runs sibling calls
@@ -14,9 +14,11 @@
 //! recursion, the calls grouped in one `parallel:` block write pairwise
 //! disjoint quadrants, and no call in the block writes a region another
 //! call in the block reads. Sequential composition of the blocks gives
-//! each write exclusive access at the moment it happens. The engines in
-//! [`crate::abcd`] (and `gep-parallel`) are line-by-line transcriptions of
-//! Figure 6, so the paper's dependency analysis carries over; the test
+//! each write exclusive access at the moment it happens. Every engine on
+//! this handle runs the one Figure 6 tree in [`crate::abcd`], whose
+//! grouping is the paper's, so its dependency analysis carries over to
+//! any leaf body that writes only its box (plus per-cell state beside
+//! it, as C-GEP's snapshots) and reads only the box's panels; the test
 //! suites additionally compare every parallel execution against the
 //! sequential engines.
 

@@ -37,8 +37,9 @@
 //! In addition, [`abcd`] implements the paper's Figure 6 decomposition of
 //! I-GEP into the function family `A / B / C / D` over raw in-core storage
 //! ([`gepmat::GepMat`]); it is the high-performance sequential engine and —
-//! through the [`joiner::Joiner`] abstraction — the skeleton that
-//! `gep-parallel` runs multithreaded.
+//! through the [`joiner::Joiner`] abstraction — the one tree that
+//! `gep-parallel` runs multithreaded, with I-GEP's kernels or C-GEP's
+//! snapshot leaf ([`cgep::cgep_abcd`]) at its leaves.
 //!
 //! ## Index conventions
 //!
@@ -50,11 +51,12 @@
 //! indices under this convention, which absorbs the paper's `k − |·|`
 //! subscript arithmetic into clean half-open prefixes.
 //!
-//! The I-GEP engines ([`igep`], [`igep_opt`], the resumable cursor) take
-//! any side that halves exactly down to leaves of side `<= base`: a power
-//! of two, or a [`gep_matrix::fit_side`] for that base (use
-//! [`gep_matrix::Matrix::padded`] to embed other sizes). C-GEP and the
-//! π/δ/τ theory functions need a power of two.
+//! The I-GEP and C-GEP engines ([`igep()`], [`igep_opt`], the resumable
+//! cursor, [`cgep_full`], [`cgep_reduced()`] and [`cgep::cgep_abcd`])
+//! take any side that halves exactly down to leaves of side `<= base`: a
+//! power of two, or a [`gep_matrix::fit_side`] for that base (use
+//! [`gep_matrix::Matrix::padded`] to embed other sizes). The π/δ/τ theory
+//! functions need a power of two.
 
 pub mod abcd;
 pub mod algebra;

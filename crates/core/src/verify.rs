@@ -549,8 +549,8 @@ pub fn diff_engines<S: GepSpec>(
 /// candidates freely.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AffineInstance {
-    /// Matrix side: one that halves to a leaf for the recursive engines
-    /// (`gep_matrix::halves_to_leaf`), a power of two for `cgep_parallel`.
+    /// Matrix side: one that halves exactly to a leaf of side `<= base`
+    /// for the recursive engines (`gep_matrix::halves_to_leaf`).
     pub n: usize,
     /// Explicit update set (duplicates are collapsed by the spec).
     pub sigma: Vec<(usize, usize, usize)>,

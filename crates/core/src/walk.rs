@@ -6,10 +6,10 @@
 //! order, prunes every box with `T ∩ Σ = ∅` (Figure 2, line 1), and hands
 //! each remaining box of side `<= base` to a visitor. Everything that runs
 //! or replays the sequential recursion is a visitor of this one walk:
-//! [`crate::igep`] (the iterative kernel per leaf), [`crate::igep_resumable`]
+//! [`crate::igep()`] (the iterative kernel per leaf), [`crate::igep_resumable`]
 //! (the same, behind a skip-and-stop cursor), [`crate::igep_step_count`]
 //! (counts leaves), C-GEP's `H` in [`crate::cgep_full_with`],
-//! [`crate::cgep_reduced`] and the planted-bug fixture
+//! [`crate::cgep_reduced()`] and the planted-bug fixture
 //! [`crate::verify::cgep_full_buggy`] (the snapshot leaf body per leaf), and
 //! the Lemma 3.1(b) schedule in `gep-bench` (pins each
 //! leaf to a simulated processor). Because the visitor sees leaves before
@@ -133,7 +133,7 @@ mod tests {
     use crate::spec::{ClosureSpec, ExplicitSet, SumSpec};
     use crate::verify::cgep_full_buggy;
     use crate::{cgep_full, cgep_reduced};
-    use crate::{igep, igep_opt, igep_resumable, igep_step_count, StepControl};
+    use crate::{igep, igep_resumable, igep_step_count, StepControl};
     use gep_matrix::Matrix;
     use gep_obs::Recorder;
 
@@ -310,30 +310,16 @@ mod tests {
         }
     }
 
-    /// On full Σ, `abcd` runs the same leaf boxes as the walk but, inside
-    /// `B`, `C` and `D`, not in Figure 2 order (e.g. `fn_b`'s backward pass runs
-    /// X21 before X22), which is why it keeps its own recursion.
+    /// On full Σ, the Figure 6 tree runs the same leaf boxes as the walk
+    /// but, inside `B`, `C` and `D`, not in Figure 2 order (e.g. `B`'s
+    /// backward pass runs X21 before X22). Only the multiset of boxes and
+    /// the results agree.
     #[test]
     fn abcd_leaves_are_the_walk_reordered() {
         let (n, base) = (8, 2);
-        let ((), rec) =
-            gep_obs::record(Recorder::new(), || igep_opt(&SumSpec, &mut input(n), base));
-        let arg = |args: &[(&str, i64)], key: &str| {
-            args.iter()
-                .find(|(k, _)| *k == key)
-                .map(|&(_, v)| v as usize)
-                .unwrap()
-        };
-        let abcd: Vec<Cube> = rec
-            .spans
-            .iter()
-            .filter(|sp| sp.cat == "abcd" && arg(&sp.args, "s") <= base)
-            .map(|sp| Cube {
-                i0: arg(&sp.args, "xr"),
-                j0: arg(&sp.args, "xc"),
-                k0: arg(&sp.args, "kk"),
-                s: arg(&sp.args, "s"),
-            })
+        let abcd: Vec<Cube> = crate::abcd::tests::fig6_leaves(&SumSpec, n, base)
+            .into_iter()
+            .map(|(b, _)| b)
             .collect();
         let (walked, _) = leaves(&SumSpec, n, base);
         assert_eq!(abcd.len(), 64);

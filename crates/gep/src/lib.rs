@@ -42,7 +42,7 @@
 //! * [`hwc`] — hardware performance counters via raw `perf_event_open`,
 //!   publishing `hwc.*` into [`obs`]; degrades gracefully where denied
 //!   (see `docs/OBSERVABILITY.md`).
-//! * [`verify`] — the eight-engine differential harness: trace every
+//! * [`verify`] — the seven-engine differential harness: trace every
 //!   engine against iterative G, localize the first divergent update,
 //!   delta-minimize failing instances (`gep-bench`'s `diffcheck` CLI).
 

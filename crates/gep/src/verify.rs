@@ -2,8 +2,8 @@
 //! multithreaded engines.
 //!
 //! `gep-core` can only register the engines it owns; this module extends
-//! the registry with `gep-parallel`'s three entry points, giving the full
-//! eight-engine harness the `diffcheck` binary and the cross-engine tests
+//! the registry with `gep-parallel`'s two entry points, giving the full
+//! seven-engine harness the `diffcheck` binary and the cross-engine tests
 //! drive. Divergence localization is order-insensitive (records are keyed
 //! by `⟨i,j,k⟩`), so the parallel engines' nondeterministic log order is
 //! harmless.
@@ -32,19 +32,14 @@ pub fn elim_agrees(backend: Backend, got: &Matrix<f64>, want: &Matrix<f64>) -> b
 }
 
 /// Every engine in the workspace: the five sequential ones from
-/// [`core_engines`] plus `igep_parallel`, `igep_parallel_simple` and
-/// `cgep_parallel` (run on the ambient rayon pool).
+/// [`core_engines`] plus `igep_parallel` and `cgep_parallel` (run on the
+/// ambient rayon pool).
 pub fn all_engines<S: GepSpec + Sync>() -> Vec<Engine<S>> {
     let mut v = core_engines::<S>();
     v.push(Engine {
         name: "igep_parallel",
         fully_general: false,
         run: |s, c, b| gep_parallel::igep_parallel(s, c, b),
-    });
-    v.push(Engine {
-        name: "igep_parallel_simple",
-        fully_general: false,
-        run: |s, c, b| gep_parallel::igep_parallel_simple(s, c, b),
     });
     v.push(Engine {
         name: "cgep_parallel",

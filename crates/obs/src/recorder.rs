@@ -269,8 +269,8 @@ fn run_in<R>(scope: Option<Arc<Scoped>>, f: impl FnOnce() -> R) -> R {
 /// Wraps `f` so that, wherever it runs, it records into the scope of the
 /// thread calling `inherit` (or into the global recorder if that thread
 /// has none). Fork points wrap each closure they may hand to another
-/// thread: `RayonJoiner` and the other `rayon::join` call sites in
-/// `gep-parallel` do. Costs one relaxed atomic load when nothing records.
+/// thread: `gep-parallel`'s `RayonJoiner`, its one `rayon::join` call
+/// site, does. Costs one relaxed atomic load when nothing records.
 pub fn inherit<R>(f: impl FnOnce() -> R) -> impl FnOnce() -> R {
     let scope = if LIVE.load(Ordering::Relaxed) == 0 {
         None

@@ -9,12 +9,13 @@
 //!
 //! Also provided:
 //!
-//! * [`igep_parallel_simple`] — the naive parallelisation the paper
-//!   mentions first (only the middle two quadrant calls of each Figure 2
-//!   pass run concurrently), with span `Θ(n^{log₂ 6})`; useful as an
-//!   ablation baseline.
-//! * [`span`] — analytic work/span accounting for both schedules,
-//!   verifying the Section 3 recurrences numerically.
+//! * [`cgep_parallel`] — multithreaded C-GEP: the same tree with C-GEP's
+//!   snapshot leaf ([`gep_core::cgep::cgep_abcd`]). Every engine here
+//!   forks through [`RayonJoiner`] alone.
+//! * [`span`] — analytic work/span accounting for Figure 6 and for the
+//!   naive parallelisation the paper mentions first (only the middle two
+//!   quadrant calls of each Figure 2 pass concurrent, span
+//!   `Θ(n^{log₂ 6})`), verifying the Section 3 recurrences numerically.
 //! * [`with_threads`] — scoped thread-pool control for the speedup
 //!   experiments (Figure 12).
 
@@ -23,8 +24,8 @@ pub mod span;
 
 pub use cgep_par::cgep_parallel;
 
-use gep_core::{BoxShape, GepMat, GepSpec, Joiner};
-use gep_matrix::{halves_to_leaf, Matrix};
+use gep_core::{GepSpec, Joiner};
+use gep_matrix::Matrix;
 
 /// Rayon-backed joiner: `join` maps to [`rayon::join`].
 ///
@@ -92,70 +93,6 @@ pub fn matmul_parallel<A: gep_kernels::AlgebraKernels>(
     gep_apps::matmul::matmul_dac::<A, _>(&RayonJoiner, c, a, b, base_size);
 }
 
-/// The naive 2-way parallel I-GEP: within each pass of Figure 2 only the
-/// two middle quadrant calls run concurrently
-/// (`F(X₁₂) ∥ F(X₂₁)`), giving span `Θ(n^{log₂ 6})` — the paper's first,
-/// weaker parallelisation. Kept as an ablation baseline for
-/// [`igep_parallel`].
-///
-/// # Panics
-/// Panics unless `c` is square with a side that halves exactly down to
-/// leaves of side `<= base_size`.
-pub fn igep_parallel_simple<S>(spec: &S, c: &mut Matrix<S::Elem>, base_size: usize)
-where
-    S: GepSpec + Sync,
-{
-    let n = c.n();
-    if n == 0 {
-        return; // Σ ⊆ [0,0)³ is empty — match gep_iterative's no-op.
-    }
-    assert!(base_size >= 1);
-    assert!(
-        halves_to_leaf(n, base_size),
-        "I-GEP needs side = leaf·power-of-two with leaf <= base"
-    );
-    let m = GepMat::new(c);
-    // SAFETY: exclusive borrow of `c`; the two concurrent calls write the
-    // disjoint quadrants X12 and X21 and read only X11/X22 + panels none
-    // of them writes (the same argument as Figure 6's B∥C group).
-    unsafe { simple_rec(spec, m, 0, 0, 0, n, base_size) }
-}
-
-unsafe fn simple_rec<S>(
-    spec: &S,
-    m: GepMat<'_, S::Elem>,
-    i0: usize,
-    j0: usize,
-    k0: usize,
-    s: usize,
-    base: usize,
-) where
-    S: GepSpec + Sync,
-{
-    if !spec.sigma_intersects((i0, i0 + s - 1), (j0, j0 + s - 1), (k0, k0 + s - 1)) {
-        return;
-    }
-    if s <= base {
-        spec.kernel_shaped(m, i0, j0, k0, s, BoxShape::classify(i0, j0, k0));
-        return;
-    }
-    let h = s / 2;
-    // Forward pass: F(X11), F(X12) ∥ F(X21), F(X22).
-    simple_rec(spec, m, i0, j0, k0, h, base);
-    rayon::join(
-        gep_obs::inherit(|| simple_rec(spec, m, i0, j0 + h, k0, h, base)),
-        gep_obs::inherit(|| simple_rec(spec, m, i0 + h, j0, k0, h, base)),
-    );
-    simple_rec(spec, m, i0 + h, j0 + h, k0, h, base);
-    // Backward pass: F(X22), F(X21) ∥ F(X12), F(X11).
-    simple_rec(spec, m, i0 + h, j0 + h, k0 + h, h, base);
-    rayon::join(
-        gep_obs::inherit(|| simple_rec(spec, m, i0 + h, j0, k0 + h, h, base)),
-        gep_obs::inherit(|| simple_rec(spec, m, i0, j0 + h, k0 + h, h, base)),
-    );
-    simple_rec(spec, m, i0, j0, k0 + h, h, base);
-}
-
 /// Runs `f` on a dedicated rayon pool of `threads` workers
 /// (the Figure 12 thread sweep).
 ///
@@ -214,19 +151,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_simple_matches_sequential() {
-        let n = 64;
-        let init = random_dist(n, 9);
-        let mut seq = init.clone();
-        igep_opt(&FwSpec::<i64>::new(), &mut seq, 8);
-        let mut par = init.clone();
-        with_threads(4, || {
-            igep_parallel_simple(&FwSpec::<i64>::new(), &mut par, 8)
-        });
-        assert_eq!(par, seq);
-    }
-
-    #[test]
     fn parallel_gaussian_matches_sequential_bitwise() {
         // The Figure 6 groups are independent, so parallel execution is
         // deterministic and bitwise equal to the serial A/B/C/D engine.
@@ -248,8 +172,7 @@ mod tests {
         assert_eq!(par, seq);
     }
 
-    /// A side of `20·8` with base 32 runs bitwise equal to the serial engine
-    /// under both parallel schedules.
+    /// A side of `20·8` with base 32 runs bitwise equal to the serial engine.
     #[test]
     fn parallel_fitted_side_matches_sequential_bitwise() {
         let (n, base) = (160, 32);
@@ -259,23 +182,12 @@ mod tests {
         let mut par = init.clone();
         with_threads(2, || igep_parallel(&FwSpec::<i64>::new(), &mut par, base));
         assert_eq!(par, seq);
-        let mut simple = init.clone();
-        with_threads(2, || {
-            igep_parallel_simple(&FwSpec::<i64>::new(), &mut simple, base)
-        });
-        assert_eq!(simple, seq);
     }
 
     #[test]
     #[should_panic(expected = "power-of-two")]
     fn parallel_rejects_side_that_does_not_halve_to_a_leaf() {
         igep_parallel(&FwSpec::<i64>::new(), &mut Matrix::square(1500, 0), 64);
-    }
-
-    #[test]
-    #[should_panic(expected = "power-of-two")]
-    fn parallel_simple_rejects_side_that_does_not_halve_to_a_leaf() {
-        igep_parallel_simple(&FwSpec::<i64>::new(), &mut Matrix::square(1500, 0), 64);
     }
 
     #[test]

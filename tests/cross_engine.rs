@@ -10,7 +10,7 @@ use gep::core::{
 };
 use gep::kernels::selected_backend;
 use gep::matrix::Matrix;
-use gep::parallel::{cgep_parallel, igep_parallel, igep_parallel_simple, with_threads};
+use gep::parallel::{cgep_parallel, igep_parallel, with_threads};
 use gep::verify::elim_agrees;
 
 /// Boolean transitive closure: the closure spec over `(∨, ∧)`.
@@ -48,10 +48,6 @@ where
     let mut m = input.clone();
     with_threads(3, || igep_parallel(spec, &mut m, 8));
     assert_eq!(m, oracle, "{label}: igep_parallel");
-
-    let mut m = input.clone();
-    with_threads(3, || igep_parallel_simple(spec, &mut m, 8));
-    assert_eq!(m, oracle, "{label}: igep_parallel_simple");
 
     for base in [1usize, 8] {
         let mut m = input.clone();
@@ -229,11 +225,12 @@ fn recorded_regression_deterministic() {
     }
 }
 
-/// C-GEP on fitted sides: `cgep_full` and `cgep_reduced` equal G bit for
-/// bit over random affine `f` and explicit Σ on sides `leaf·2^q` that are
-/// not powers of two, and the reduced variant's live snapshots peak
-/// within `n² + n`. I-GEP must diverge from G on some of these instances,
-/// or they would not tell a fully general engine from I-GEP.
+/// C-GEP on fitted sides: `cgep_full`, `cgep_reduced` and `cgep_parallel`
+/// (at 1 and 3 threads) equal G bit for bit over random affine `f` and
+/// explicit Σ on sides `leaf·2^q` that are not powers of two, and the
+/// reduced variant's live snapshots peak within `n² + n`. I-GEP must
+/// diverge from G on some of these instances, or they would not tell a
+/// fully general engine from I-GEP.
 #[test]
 fn cgep_engines_match_g_on_fitted_sides() {
     use gep::verify::AffineInstance;
@@ -285,6 +282,12 @@ fn cgep_engines_match_g_on_fitted_sides() {
                 stats.peak_live_snapshots
             );
 
+            for threads in [1usize, 3] {
+                let mut m = init.clone();
+                with_threads(threads, || cgep_parallel(&spec, &mut m, base));
+                assert_eq!(m, oracle, "cgep_parallel threads={threads} {label}");
+            }
+
             let mut m = init.clone();
             igep(&spec, &mut m, base);
             igep_diverged += usize::from(m != oracle);
@@ -321,7 +324,7 @@ fn arbitrary_closure_instance() -> (
     (spec, init)
 }
 
-/// The differential harness over every registered engine (all eight) on
+/// The differential harness over every registered engine (all seven) on
 /// Floyd–Warshall, and an arbitrary-Σ closure spec: a fully general engine
 /// must never diverge from G; I-GEP must not diverge on the legal FW spec.
 #[test]
@@ -340,7 +343,7 @@ fn verify_harness_all_engines_i64() {
         }
     });
     let engines = all_engines::<FwSpec<i64>>();
-    assert_eq!(engines.len(), 8, "all eight engines registered");
+    assert_eq!(engines.len(), 7, "all seven engines registered");
     for e in &engines {
         let rep = diff_engine(&FwSpec::<i64>::new(), &fw_init, e, 2);
         // FW is I-GEP-legal: every engine's *result* equals G's. I-GEP's
@@ -441,10 +444,6 @@ fn degenerate_sizes_all_engines() {
         let mut m = input.clone();
         with_threads(2, || igep_parallel(&SumSpec, &mut m, 1));
         assert_eq!(m, oracle, "igep_parallel n={n}");
-
-        let mut m = input.clone();
-        with_threads(2, || igep_parallel_simple(&SumSpec, &mut m, 1));
-        assert_eq!(m, oracle, "igep_parallel_simple n={n}");
 
         let mut m = input.clone();
         with_threads(2, || cgep_parallel(&SumSpec, &mut m, 1));
