@@ -27,20 +27,22 @@
 //!   way. One seed in 40 also runs an FW and an f64 GE instance on a
 //!   larger fitted side ([`FITTED`]) through the in-core I-GEP and C-GEP
 //!   engines, against G: bitwise for FW, and for GE unless the ambient
-//!   kernel backend fuses multiply-subtract (AVX2; then within 1e-9).
+//!   kernel backend fuses multiply-subtract (AVX2 and AVX-512; then
+//!   within 1e-9).
 //! * `kernels [trials]` — the specialized-vs-generic kernel axis: random
 //!   instances of the five kernel-backed applications (GE, LU, FW, TC,
 //!   MM) run with each `gep-kernels` backend the host supports, compared
 //!   against the scalar generic base case (bitwise for `i64`/`bool`, and
 //!   for f64 GE and LU on every backend that does not fuse
-//!   multiply-subtract; 1e-9 for MM and for GE and LU under AVX2; the MM
+//!   multiply-subtract; 1e-9 for MM and for GE and LU under AVX2 and
+//!   AVX-512; the MM
 //!   embed-vs-recursion bitwise invariant is
 //!   checked under every backend). One seed in 8 runs on a fitted side
 //!   ([`FITTED`]) instead of `n ∈ {4..32}`, without MM, whose
 //!   recursion needs a power of two. Independently, one seed in 4 also
 //!   runs a copy of its FW instance with about a third of the weights
 //!   swapped for wide ones ([`WIDE_TIERS`]: negatives, `−INF`, below
-//!   `−INF`, above `INF`), so both the AVX2 min-plus register tile and
+//!   `−INF`, above `INF`), so both the min-plus register tiles and
 //!   its saturating fallback meet the generic kernel. Seeds print and
 //!   replay exactly like
 //!   `fuzz` (`kernels --seed <u64>`). Passing `--engine-kernels` to
@@ -205,10 +207,10 @@ fn fitted_draw(seed: u64, one_in: u64) -> Option<(usize, usize)> {
 }
 
 /// Min-plus weights outside the generators' usual `0`, `INF` and
-/// `1..100`, in four tiers: values in `[0, 2·INF]`, where the AVX2
-/// `Disjoint` kernel runs its register tile; negatives down to `−INF`;
-/// values above `2·INF`; values below `−INF`. Any one value from the last
-/// three sends that kernel to its saturating panel. (A full-Σ run clamps
+/// `1..100`, in four tiers: values in `[0, 2·INF]`, where the AVX2 and
+/// AVX-512 `Disjoint` kernels run their register tiles; negatives down to
+/// `−INF`; values above `2·INF`; values below `−INF`. Any one value from
+/// the last three sends those kernels to their saturating panel. (A full-Σ run clamps
 /// values above `INF` in its B and C leaves before a `Disjoint` leaf reads
 /// them, so only the kernels crate's direct test puts the third tier in
 /// front of the tile's range check.)
@@ -485,8 +487,8 @@ fn kernels_one(seed: u64, label: &str) -> bool {
         println!("replay with: diffcheck kernels --seed {seed:#x}\n");
     };
 
-    // f64 GE / LU: bitwise, except under the AVX2 backend, whose fused
-    // multiply-subtract legitimately changes the last bits.
+    // f64 GE / LU: bitwise, except under the AVX2 and AVX-512 backends,
+    // whose fused multiply-subtract legitimately changes the last bits.
     let mut ge_init = Matrix::from_fn(n, n, |_, _| rng.below(1000) as f64 / 1000.0 - 0.5);
     for i in 0..n {
         ge_init[(i, i)] = n as f64 + 2.0;

@@ -63,8 +63,10 @@ pub fn fmt_secs(s: f64) -> String {
     }
 }
 
-/// Best-effort host description (model name and core count from
-/// `/proc/cpuinfo`).
+/// Best-effort host description: model name from `/proc/cpuinfo`,
+/// hardware threads, and the kernel backend `gep-kernels` selects, e.g.
+/// `… (2 hardware threads, kernels avx512)`, so every BENCH row and
+/// trajectory entry names the register tile that produced it.
 pub fn host_info() -> String {
     let cpuinfo = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
     let model = cpuinfo
@@ -76,12 +78,19 @@ pub fn host_info() -> String {
     let cores = std::thread::available_parallelism()
         .map(|c| c.get())
         .unwrap_or(1);
-    format!("{model} ({cores} hardware threads)")
+    let kernels = gep_kernels::selected_backend().name();
+    format!("{model} ({cores} hardware threads, kernels {kernels})")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn host_info_names_the_backend() {
+        let want = format!(", kernels {})", gep_kernels::selected_backend().name());
+        assert!(host_info().ends_with(&want), "{}", host_info());
+    }
 
     #[test]
     fn timed_measures_something() {

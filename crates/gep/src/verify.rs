@@ -13,18 +13,12 @@ use gep_core::GepSpec;
 use gep_kernels::Backend;
 use gep_matrix::Matrix;
 
-/// Whether `backend`'s f64 elimination kernels fuse multiply-subtract
-/// (AVX2's `_mm256_fnmadd_pd`), rounding once where G rounds twice. Only
-/// AVX2 does: under every other backend f64 GE and LU equal G bit for
-/// bit.
-pub fn fuses(backend: Backend) -> bool {
-    backend == Backend::Avx2
-}
-
 /// Whether two f64 elimination results agree as `backend` promises:
-/// bitwise, or within 1e-9 where it [`fuses`].
+/// bitwise, or within 1e-9 where its kernels fuse multiply-subtract
+/// ([`Backend::fuses`]: AVX2 and AVX-512 round once where G rounds
+/// twice).
 pub fn elim_agrees(backend: Backend, got: &Matrix<f64>, want: &Matrix<f64>) -> bool {
-    if fuses(backend) {
+    if backend.fuses() {
         got.approx_eq(want, 1e-9)
     } else {
         got == want

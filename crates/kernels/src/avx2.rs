@@ -4,6 +4,11 @@
 //! aliased `RowPanel`/`ColPanel` boxes on its tile (see
 //! [`fw_i64_row_panel`]).
 //!
+//! The shaped entry points that use a register tile ([`ge`], [`lu`],
+//! [`fw_i64`]) are generic over [`Tiles`], so the AVX-512 backend
+//! (`crate::avx512`) shares everything here but its tiles: the range
+//! check, the panel drivers, the saturating fallback and the sweeps.
+//!
 //! Rounding discipline: the f64 multiply-accumulate panels use *fused*
 //! operations everywhere — `_mm256_fmadd_pd`/`_mm256_fnmadd_pd` in the
 //! 4×8 register tile and `f64::mul_add` in the scalar edge paths — so a
@@ -12,20 +17,53 @@
 //! contracted by rustc), matching the portable backend bit-for-bit on
 //! non-disjoint boxes.
 //!
-//! `#[target_feature]` functions cannot coerce to the plain `unsafe fn`
-//! pointers the [`crate::KernelSet`] vtable holds, so every vtable entry
-//! is a thin `unsafe fn` wrapper around a `#[target_feature]` inner
-//! function. Callers uphold the safety contract by construction: the
-//! wrappers are only reachable through [`crate::dispatch`], which selects
-//! this backend only after `is_x86_feature_detected!("avx2")` and
-//! `("fma")` both pass.
+//! The [`crate::KernelSet`] vtable holds the shaped entry points below,
+//! plain `unsafe fn`s, and the tiles, `#[target_feature]` functions
+//! coerced to `unsafe fn` pointers. Callers uphold the safety contract by
+//! construction: all of them are only reachable through
+//! [`crate::dispatch`], which selects this backend only after
+//! `is_x86_feature_detected!("avx2")` and `("fma")` both pass.
 
 #![allow(clippy::missing_safety_doc, clippy::too_many_arguments)]
 
-use crate::sweeps;
+use crate::{sweeps, MmPanel};
 use core::arch::x86_64::*;
 use gep_core::algebra::{MinPlusI64, UpdateAlgebra, TROPICAL_INF};
 use gep_core::{BoxShape, GepMat};
+
+/// An i64 min-plus tile `(c, a, b, ld, mi, nj, kd)`: all three operands
+/// at stride `ld`, otherwise as [`crate::TilePanel`].
+pub(crate) type FwTile = unsafe fn(*mut i64, *const i64, *const i64, usize, usize, usize, usize);
+
+/// The register tiles of one SIMD backend. The shaped entry points run
+/// `Disjoint` boxes, and the order-free parts of the i64 `RowPanel` and
+/// `ColPanel` boxes, on these; AVX2 ([`Avx2`]) and AVX-512 differ only
+/// here. Each tile handles any `mi`, `nj` and `kd`.
+pub(crate) trait Tiles {
+    /// Rows of C in one tile block: the height of the GE factor strip and
+    /// of the `RowPanel` driver's blocks. At most [`MAX_ROWS`].
+    const ROWS: usize;
+    /// Exact i64 min-plus product `C ← min(C, INF, A ⊗ B)` under the
+    /// contract of [`fw_i64_tile_inner`].
+    const FW_I64: FwTile;
+    /// `C ← C + A·B`, one fused rounding per update, k ascending per cell.
+    const MM_ACC: MmPanel;
+    /// `C ← C − A·B`, likewise.
+    const MM_SUB: MmPanel;
+}
+
+/// The tallest tile block of any backend (AVX-512's 8 rows).
+pub(crate) const MAX_ROWS: usize = 8;
+
+/// The AVX2 tiles: 4 rows × 8 columns of C in eight ymm accumulators.
+pub(crate) struct Avx2;
+
+impl Tiles for Avx2 {
+    const ROWS: usize = 4;
+    const FW_I64: FwTile = fw_i64_tile_inner;
+    const MM_ACC: MmPanel = mm_acc_inner;
+    const MM_SUB: MmPanel = mm_sub_inner;
+}
 
 // ---------------------------------------------------------------------
 // f64 multiply-accumulate panels (the FLOP hot path)
@@ -141,43 +179,19 @@ macro_rules! mm_panel {
 mm_panel!(mm_acc_inner, _mm256_fmadd_pd, cell_acc);
 mm_panel!(mm_sub_inner, _mm256_fnmadd_pd, cell_sub);
 
-pub unsafe fn mm_acc(
-    c: *mut f64,
-    ldc: usize,
-    a: *const f64,
-    lda: usize,
-    b: *const f64,
-    ldb: usize,
-    mi: usize,
-    nj: usize,
-    kd: usize,
-) {
-    mm_acc_inner(c, ldc, a, lda, b, ldb, mi, nj, kd)
-}
-
-pub unsafe fn mm_sub(
-    c: *mut f64,
-    ldc: usize,
-    a: *const f64,
-    lda: usize,
-    b: *const f64,
-    ldb: usize,
-    mi: usize,
-    nj: usize,
-    kd: usize,
-) {
-    mm_sub_inner(c, ldc, a, lda, b, ldb, mi, nj, kd)
-}
-
 // ---------------------------------------------------------------------
 // Gaussian disjoint-box panel: precompute u/w factor strips, then FNMA
 // ---------------------------------------------------------------------
 
-/// k-chunk length of the factor strip (4 rows × 128 k = 4 KiB of stack).
+/// k-chunk length of the factor strip (up to 8 rows × 128 k = 8 KiB of
+/// stack).
 const GE_KC: usize = 128;
 
+/// `C ← C − (A/w)·B` over the `Disjoint` GE box: the factors `a[i,k] /
+/// w[k]` of `T::ROWS` rows and up to [`GE_KC`] steps go to a strip, which
+/// `T::mm_sub` then applies.
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn ge_panel_inner(
+unsafe fn ge_panel<T: Tiles>(
     c: *mut f64,
     ldc: usize,
     a: *const f64,
@@ -190,10 +204,10 @@ unsafe fn ge_panel_inner(
     nj: usize,
     kd: usize,
 ) {
-    let mut fbuf = [0.0f64; 4 * GE_KC];
+    let mut fbuf = [0.0f64; MAX_ROWS * GE_KC];
     let mut i = 0usize;
     while i < mi {
-        let rows = (mi - i).min(4);
+        let rows = (mi - i).min(T::ROWS);
         let mut k0 = 0usize;
         while k0 < kd {
             let kc = (kd - k0).min(GE_KC);
@@ -203,7 +217,7 @@ unsafe fn ge_panel_inner(
                     fbuf[r * GE_KC + k] = *arow.add(k) / *w.add((k0 + k) * ws);
                 }
             }
-            mm_sub_inner(
+            (T::MM_SUB)(
                 c.add(i * ldc),
                 ldc,
                 fbuf.as_ptr(),
@@ -447,9 +461,10 @@ unsafe fn fw_i64_clamp(p: *mut i64, ld: usize, s: usize) {
 /// (`≤ 3·INF`). `D[i,i] ≥ 0` makes the self-update at `k == i` a no-op, so
 /// G's result is `final_i = min(r_i, min_{m>i} D[i,m] + r_m)` with `r_i =
 /// min(x₀_i, min_{m<i} D[i,m] + r_m)`. Integer `min` is order-free, so
-/// each `min` may be split into a tile product over whole 4-row blocks
-/// and an in-block triangle; no closure of `D` is assumed. Two ascending
-/// passes over 4-row blocks `R = [i0, e)`:
+/// each `min` may be split into a tile product over whole row blocks and
+/// an in-block triangle; no closure of `D` is assumed, and nothing depends
+/// on the tile's width. Two ascending passes over `T::ROWS`-row blocks `R
+/// = [i0, e)`:
 /// 1. lower: `R ← min(R, D[R, <i0] ⊗ X[<i0])` on the tile (those rows
 ///    already hold `r`), then the triangle `m ∈ [i0, i)` row by row;
 /// 2. upper: the triangle `m ∈ (i, e)` first, reading rows the upper
@@ -461,14 +476,14 @@ unsafe fn fw_i64_clamp(p: *mut i64, ld: usize, s: usize) {
 /// at stride `ld` and do not overlap, and every entry of both lies in
 /// `[0, FW_TILE_MAX]`.
 #[target_feature(enable = "avx2")]
-unsafe fn fw_i64_row_panel(x: *mut i64, d: *const i64, ld: usize, s: usize) {
+unsafe fn fw_i64_row_panel<T: Tiles>(x: *mut i64, d: *const i64, ld: usize, s: usize) {
     fw_i64_clamp(x, ld, s);
     let row = |i: usize| x.add(i * ld);
     let mut i0 = 0;
     while i0 < s {
-        let e = (i0 + 4).min(s);
+        let e = (i0 + T::ROWS).min(s);
         if i0 > 0 {
-            fw_i64_tile_inner(row(i0), d.add(i0 * ld), x, ld, e - i0, s, i0);
+            (T::FW_I64)(row(i0), d.add(i0 * ld), x, ld, e - i0, s, i0);
         }
         for i in i0..e {
             for m in i0..i {
@@ -479,14 +494,14 @@ unsafe fn fw_i64_row_panel(x: *mut i64, d: *const i64, ld: usize, s: usize) {
     }
     let mut i0 = 0;
     while i0 < s {
-        let e = (i0 + 4).min(s);
+        let e = (i0 + T::ROWS).min(s);
         for i in i0..e {
             for m in i + 1..e {
                 fw_i64_relax_row(row(i), *d.add(i * ld + m), row(m), s);
             }
         }
         if e < s {
-            fw_i64_tile_inner(row(i0), d.add(i0 * ld + e), row(e), ld, e - i0, s, s - e);
+            (T::FW_I64)(row(i0), d.add(i0 * ld + e), row(e), ld, e - i0, s, s - e);
         }
         i0 = e;
     }
@@ -496,20 +511,20 @@ unsafe fn fw_i64_row_panel(x: *mut i64, d: *const i64, ld: usize, s: usize) {
 /// transpose of [`fw_i64_row_panel`]. `X = c[xr.., kk..]` is updated as
 /// `x[i,j] ← min(x[i,j], x[i,k] ⊗ D[k,j])`, so column `j` ends as
 /// `min(c_j, min_{m>j} c_m + D[m,j])` with `c_j = min(x₀_j, min_{m<j}
-/// c_m + D[m,j])`. The passes run over 8-column blocks `J = [j0, e)`,
-/// with `X` as the tile's A operand and `D` as its B operand; the
-/// in-block triangle is [`fw_i64_col_triangle`].
+/// c_m + D[m,j])`. The passes run over 8-column blocks `J = [j0, e)`
+/// (the width of [`fw_i64_col_triangle`]'s transposed vectors, on every
+/// tile), with `X` as the tile's A operand and `D` as its B operand.
 ///
 /// # Safety
 /// As [`fw_i64_row_panel`].
 #[target_feature(enable = "avx2")]
-unsafe fn fw_i64_col_panel(x: *mut i64, d: *const i64, ld: usize, s: usize) {
+unsafe fn fw_i64_col_panel<T: Tiles>(x: *mut i64, d: *const i64, ld: usize, s: usize) {
     fw_i64_clamp(x, ld, s);
     let mut j0 = 0;
     while j0 < s {
         let e = (j0 + 8).min(s);
         if j0 > 0 {
-            fw_i64_tile_inner(x.add(j0), x, d.add(j0), ld, s, e - j0, j0);
+            (T::FW_I64)(x.add(j0), x, d.add(j0), ld, s, e - j0, j0);
         }
         fw_i64_col_triangle::<false>(x, d, ld, s, j0, e);
         j0 = e;
@@ -519,7 +534,7 @@ unsafe fn fw_i64_col_panel(x: *mut i64, d: *const i64, ld: usize, s: usize) {
         let e = (j0 + 8).min(s);
         fw_i64_col_triangle::<true>(x, d, ld, s, j0, e);
         if e < s {
-            fw_i64_tile_inner(
+            (T::FW_I64)(
                 x.add(j0),
                 x.add(e),
                 d.add(e * ld + j0),
@@ -762,13 +777,20 @@ unsafe fn tc_sweep_tf(m: GepMat<'_, bool>, xr: usize, xc: usize, kk: usize, s: u
 // Shaped entry points (the KernelSet vtable)
 // ---------------------------------------------------------------------
 
-pub unsafe fn ge(m: GepMat<'_, f64>, xr: usize, xc: usize, kk: usize, s: usize, shape: BoxShape) {
+pub unsafe fn ge<T: Tiles>(
+    m: GepMat<'_, f64>,
+    xr: usize,
+    xc: usize,
+    kk: usize,
+    s: usize,
+    shape: BoxShape,
+) {
     match shape {
         // Pruning guarantees xr > kk and xc > kk here, so the whole box is
         // inside Σ and U/V/W are all outside X: a pure GEMM-like panel.
         BoxShape::Disjoint => {
             let ld = m.n();
-            ge_panel_inner(
+            ge_panel::<T>(
                 m.row_ptr(xr).add(xc),
                 ld,
                 m.row_ptr(xr).add(kk),
@@ -786,14 +808,21 @@ pub unsafe fn ge(m: GepMat<'_, f64>, xr: usize, xc: usize, kk: usize, s: usize, 
     }
 }
 
-pub unsafe fn lu(m: GepMat<'_, f64>, xr: usize, xc: usize, kk: usize, s: usize, shape: BoxShape) {
+pub unsafe fn lu<T: Tiles>(
+    m: GepMat<'_, f64>,
+    xr: usize,
+    xc: usize,
+    kk: usize,
+    s: usize,
+    shape: BoxShape,
+) {
     match shape {
         // Disjoint ⇒ xc > kk: column k is outside the tile, the
         // multipliers in c[xr.., kk..] are already formed, and every
         // update is the pure `x − u·v`.
         BoxShape::Disjoint => {
             let ld = m.n();
-            mm_sub_inner(
+            (T::MM_SUB)(
                 m.row_ptr(xr).add(xc),
                 ld,
                 m.row_ptr(xr).add(kk),
@@ -836,7 +865,7 @@ pub unsafe fn fw_f64(
     }
 }
 
-pub unsafe fn fw_i64(
+pub unsafe fn fw_i64<T: Tiles>(
     m: GepMat<'_, i64>,
     xr: usize,
     xc: usize,
@@ -861,9 +890,9 @@ pub unsafe fn fw_i64(
     // range check.
     if fw_i64_in_range(a, ld, s) && fw_i64_in_range(b, ld, s) {
         match shape {
-            BoxShape::Disjoint => fw_i64_tile_inner(c, a, b, ld, s, s, s),
-            BoxShape::RowPanel => fw_i64_row_panel(c, a, ld, s),
-            _ => fw_i64_col_panel(c, b, ld, s),
+            BoxShape::Disjoint => (T::FW_I64)(c, a, b, ld, s, s, s),
+            BoxShape::RowPanel => fw_i64_row_panel::<T>(c, a, ld, s),
+            _ => fw_i64_col_panel::<T>(c, b, ld, s),
         }
     } else {
         gep_obs::counter_add(crate::FW_I64_SATURATING_COUNTER, 1);

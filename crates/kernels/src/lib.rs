@@ -5,7 +5,7 @@
 //! kernels for the concrete applications in `gep-apps` — the f64 trailing
 //! matrix-multiplication update `C ← C − A·B` (shared by Gaussian
 //! elimination and LU), the min-plus Floyd–Warshall inner loop (`f64` and
-//! `i64`), and the boolean and-or transitive-closure kernel — in three
+//! `i64`), and the boolean and-or transitive-closure kernel — in four
 //! backends:
 //!
 //! * [`Backend::Portable`] — shared, auto-vectorizable Rust sweeps;
@@ -14,6 +14,9 @@
 //!   baseline, no runtime feature check needed).
 //! * [`Backend::Avx2`] — explicit 256-bit AVX2 + FMA kernels, selected
 //!   only when `is_x86_feature_detected!` confirms host support.
+//! * [`Backend::Avx512`] — the AVX2 kernels with 512-bit register tiles
+//!   for the i64 min-plus and f64 multiply-accumulate hot paths, selected
+//!   only when `avx512f`, `avx2` and `fma` are all detected.
 //!
 //! [`Backend::Generic`] is the fourth choice: no kernel set at all
 //! ([`dispatch`] returns `None`), telling the caller to use its own
@@ -24,9 +27,9 @@
 //!
 //! Every kernel receives the [`BoxShape`] of its base-case box. On a
 //! [`BoxShape::Disjoint`] box the `U`/`V`/`W` panels are stable for the
-//! whole call, so the f64 multiply-accumulate kernels and the AVX2 `i64`
-//! min-plus kernel run k-innermost register micro-tiles (where ~all the
-//! updates of a full-Σ run live). The aliased shapes
+//! whole call, so the f64 multiply-accumulate kernels and the AVX2 and
+//! AVX-512 `i64` min-plus kernels run k-innermost register micro-tiles
+//! (where ~all the updates of a full-Σ run live). The aliased shapes
 //! (`Diagonal`, `RowPanel`, `ColPanel`) run k-outermost sweeps that
 //! reproduce the generic kernel's aliasing refreshes exactly. See
 //! `docs/KERNELS.md` for the taxonomy and the per-application safety
@@ -39,7 +42,7 @@
 //!
 //! 1. a programmatic override ([`set_backend_override`]), else
 //! 2. the `GEP_KERNELS` environment variable (`generic` / `portable` /
-//!    `sse2` / `avx2`), else
+//!    `sse2` / `avx2` / `avx512`), else
 //! 3. a backend pinned by the ambient tuning profile
 //!    (`$GEP_TUNING` or `./tuning.json`, written by `repro tune`), else
 //! 4. the best backend the host supports ([`detect_best`]).
@@ -50,6 +53,8 @@
 
 #[cfg(target_arch = "x86_64")]
 mod avx2;
+#[cfg(target_arch = "x86_64")]
+mod avx512;
 #[cfg(target_arch = "x86_64")]
 mod sse2;
 mod sweeps;
@@ -74,15 +79,18 @@ pub enum Backend {
     Portable = 1,
     Sse2 = 2,
     Avx2 = 3,
+    Avx512 = 4,
 }
 
 impl Backend {
-    /// All backends, in increasing order of specialization.
-    pub const ALL: [Backend; 4] = [
+    /// All backends, in increasing order of specialization (and of
+    /// discriminant).
+    pub const ALL: [Backend; 5] = [
         Backend::Generic,
         Backend::Portable,
         Backend::Sse2,
         Backend::Avx2,
+        Backend::Avx512,
     ];
 
     /// Stable lowercase name (used by `GEP_KERNELS`, tuning profiles and
@@ -93,6 +101,7 @@ impl Backend {
             Backend::Portable => "portable",
             Backend::Sse2 => "sse2",
             Backend::Avx2 => "avx2",
+            Backend::Avx512 => "avx512",
         }
     }
 
@@ -103,6 +112,7 @@ impl Backend {
             "portable" => Some(Backend::Portable),
             "sse2" => Some(Backend::Sse2),
             "avx2" => Some(Backend::Avx2),
+            "avx512" => Some(Backend::Avx512),
             _ => None,
         }
     }
@@ -118,6 +128,10 @@ impl Backend {
                 std::arch::is_x86_feature_detected!("avx2")
                     && std::arch::is_x86_feature_detected!("fma")
             }
+            #[cfg(target_arch = "x86_64")]
+            Backend::Avx512 => {
+                Backend::Avx2.is_supported() && std::arch::is_x86_feature_detected!("avx512f")
+            }
             #[cfg(not(target_arch = "x86_64"))]
             _ => false,
         }
@@ -132,7 +146,18 @@ impl Backend {
             Backend::Portable => "kernels.dispatch.portable",
             Backend::Sse2 => "kernels.dispatch.sse2",
             Backend::Avx2 => "kernels.dispatch.avx2",
+            Backend::Avx512 => "kernels.dispatch.avx512",
         }
+    }
+
+    /// Whether this backend runs the FMA register tiles: AVX2 and
+    /// AVX-512. Their f64 elimination kernels fuse multiply-subtract,
+    /// rounding once where G rounds twice (every other backend equals G
+    /// bit for bit), and their i64 min-plus kernel runs the exact tile,
+    /// counting each call that falls back to the saturating path in
+    /// [`FW_I64_SATURATING_COUNTER`].
+    pub fn fuses(self) -> bool {
+        matches!(self, Backend::Avx2 | Backend::Avx512)
     }
 }
 
@@ -149,11 +174,10 @@ pub fn available_backends() -> Vec<Backend> {
 pub fn detect_best() -> Backend {
     #[cfg(target_arch = "x86_64")]
     {
-        if Backend::Avx2.is_supported() {
-            Backend::Avx2
-        } else {
-            Backend::Sse2
-        }
+        [Backend::Avx512, Backend::Avx2]
+            .into_iter()
+            .find(|b| b.is_supported())
+            .unwrap_or(Backend::Sse2)
     }
     #[cfg(not(target_arch = "x86_64"))]
     {
@@ -195,11 +219,11 @@ pub struct KernelSet {
     pub f64_fw: ShapedKernel<f64>,
     /// Floyd–Warshall min-plus over full `Σ`, exact i64 weights
     /// (saturating, sentinel-absorbing `⊗` — see
-    /// [`gep_core::algebra::MinPlusI64`]). AVX2 runs `Disjoint`,
-    /// `RowPanel` and `ColPanel` boxes on a register tile, falling back to
-    /// the saturating panel or sweep (and bumping
-    /// [`FW_I64_SATURATING_COUNTER`]) when an operand lies outside
-    /// `[0, 2·TROPICAL_INF]`.
+    /// [`gep_core::algebra::MinPlusI64`]). AVX2 and AVX-512 run
+    /// `Disjoint`, `RowPanel` and `ColPanel` boxes on a register tile,
+    /// falling back to the saturating panel or sweep (and bumping
+    /// [`FW_I64_SATURATING_COUNTER`]) when an operand lies outside `[0,
+    /// 2·TROPICAL_INF]`.
     pub i64_fw: ShapedKernel<i64>,
     /// Bottleneck max-min closure over full `Σ`, i64 capacities.
     ///
@@ -337,15 +361,27 @@ static SSE2_SET: KernelSet = KernelSet {
 #[cfg(target_arch = "x86_64")]
 static AVX2_SET: KernelSet = KernelSet {
     backend: Backend::Avx2,
-    f64_ge: avx2::ge,
-    f64_lu: avx2::lu,
+    f64_ge: avx2::ge::<avx2::Avx2>,
+    f64_lu: avx2::lu::<avx2::Avx2>,
     f64_fw: avx2::fw_f64,
-    i64_fw: avx2::fw_i64,
+    i64_fw: avx2::fw_i64::<avx2::Avx2>,
     i64_maxmin: portable::maxmin,
     bool_tc: avx2::tc,
     gf2_elim: portable::gf2_elim,
-    f64_mm_acc: avx2::mm_acc,
-    f64_mm_sub: avx2::mm_sub,
+    f64_mm_acc: <avx2::Avx2 as avx2::Tiles>::MM_ACC,
+    f64_mm_sub: <avx2::Avx2 as avx2::Tiles>::MM_SUB,
+};
+
+/// The AVX2 set with the zmm tiles in its hot entries.
+#[cfg(target_arch = "x86_64")]
+static AVX512_SET: KernelSet = KernelSet {
+    backend: Backend::Avx512,
+    f64_ge: avx2::ge::<avx512::Avx512>,
+    f64_lu: avx2::lu::<avx512::Avx512>,
+    i64_fw: avx2::fw_i64::<avx512::Avx512>,
+    f64_mm_acc: <avx512::Avx512 as avx2::Tiles>::MM_ACC,
+    f64_mm_sub: <avx512::Avx512 as avx2::Tiles>::MM_SUB,
+    ..AVX2_SET
 };
 
 /// The kernel set of a specific backend, or `None` for
@@ -368,6 +404,14 @@ pub fn kernel_set(backend: Backend) -> Option<&'static KernelSet> {
                 Some(&SSE2_SET)
             }
         }
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx512 => {
+            if Backend::Avx512.is_supported() {
+                Some(&AVX512_SET)
+            } else {
+                kernel_set(Backend::Avx2)
+            }
+        }
         #[cfg(not(target_arch = "x86_64"))]
         _ => Some(&PORTABLE_SET),
     }
@@ -388,13 +432,9 @@ pub fn set_backend_override(backend: Option<Backend>) {
 }
 
 fn backend_override() -> Option<Backend> {
-    match OVERRIDE.load(Ordering::SeqCst) {
-        0 => Some(Backend::Generic),
-        1 => Some(Backend::Portable),
-        2 => Some(Backend::Sse2),
-        3 => Some(Backend::Avx2),
-        _ => None,
-    }
+    Backend::ALL
+        .get(usize::from(OVERRIDE.load(Ordering::SeqCst)))
+        .copied()
 }
 
 fn env_backend() -> Option<Backend> {
@@ -414,7 +454,7 @@ fn env_backend() -> Option<Backend> {
         None => {
             eprintln!(
                 "warning: GEP_KERNELS={v:?} not recognized \
-                 (generic/portable/sse2/avx2); auto-detecting"
+                 (generic/portable/sse2/avx2/avx512); auto-detecting"
             );
             None
         }
@@ -442,10 +482,10 @@ fn ambient_backend() -> Backend {
     })
 }
 
-/// Counter bumped once per AVX2 `Disjoint`, `RowPanel` or `ColPanel`
-/// `i64_fw` call that runs the saturating panel or sweep because an A or
-/// B entry lies outside `[0, 2·TROPICAL_INF]`, the register tile's
-/// contract. Distinct from
+/// Counter bumped once per AVX2 or AVX-512 (see [`Backend::fuses`])
+/// `Disjoint`, `RowPanel` or `ColPanel` `i64_fw` call that runs the
+/// saturating panel or sweep because an A or B entry lies outside `[0,
+/// 2·TROPICAL_INF]`, the register tile's contract. Distinct from
 /// `kernels.fallback`, which counts base cases with no specialized kernel.
 pub const FW_I64_SATURATING_COUNTER: &str = "kernels.fw_i64.saturating";
 
@@ -693,7 +733,7 @@ mod tests {
 
     fn bool_matrix(n: usize, seed: u64) -> Matrix<bool> {
         let mut s = seed;
-        Matrix::from_fn(n, n, |i, j| i == j || lcg(&mut s) % 4 == 0)
+        Matrix::from_fn(n, n, |i, j| i == j || lcg(&mut s).is_multiple_of(4))
     }
 
     /// Capacities in `[0, 1000)` with `ONE` on the diagonal and a sprinkle
@@ -703,7 +743,7 @@ mod tests {
         Matrix::from_fn(n, n, |i, j| {
             if i == j {
                 i64::MAX
-            } else if lcg(&mut s) % 8 == 0 {
+            } else if lcg(&mut s).is_multiple_of(8) {
                 i64::MIN
             } else {
                 (lcg(&mut s) % 1000) as i64
@@ -960,17 +1000,17 @@ mod tests {
         }
     }
 
-    /// `Disjoint` boxes on and off the AVX2 register tile's contract, at
-    /// leaf sides that exercise its 4×8 edges (6, 12, 20) and sides above
-    /// the usual leaf of 64. A and B entries drawn from `fast` (`0` to
+    /// `Disjoint` boxes on and off the register tiles' contract, at leaf
+    /// sides that exercise their edges (6, 12, 20: AVX2's 4×8, AVX-512's
+    /// 8×16 with masked lanes) and sides above the usual leaf of 64. A and B entries drawn from `fast` (`0` to
     /// `INF` and above, up to `2·INF`) keep the tile; one entry from
     /// `negative` (down to `−INF`, where a plain sum would not overflow
     /// but would undercut an absorbing `INF`), `high` (above `2·INF`,
     /// where it would overflow) or `low` (below `−INF`) sends the whole
     /// call to the saturating panel. C may hold anything in every case.
-    /// Every backend
-    /// must match the generic kernel bit for bit, and only AVX2 counts
-    /// its saturating calls.
+    /// Every backend must match the generic kernel bit for bit, and only
+    /// the tiled backends ([`Backend::fuses`]) count their saturating
+    /// calls.
     #[test]
     fn fw_i64_disjoint_tile_exact_on_and_off_contract() {
         use gep_core::algebra::TROPICAL_INF as INF;
@@ -988,7 +1028,7 @@ mod tests {
                     let init = Matrix::from_fn(n, n, |i, j| {
                         let r = lcg(&mut seed) as usize;
                         let in_c = i >= s && j >= s;
-                        match (r % 7 == 0, in_c) {
+                        match (r.is_multiple_of(7), in_c) {
                             (true, true) => c_only[(r / 7) % c_only.len()],
                             (true, false) if off_contract => off[(r / 7) % off.len()],
                             _ => fast[r % fast.len()],
@@ -1005,7 +1045,7 @@ mod tests {
                     assert_eq!(got, want, "fw i64 disjoint {ctx}");
                     assert_eq!(
                         rec.counter(FW_I64_SATURATING_COUNTER),
-                        u64::from(off_contract && set.backend == Backend::Avx2),
+                        u64::from(off_contract && set.backend.fuses()),
                         "saturating-panel count {ctx}"
                     );
                 }
@@ -1013,48 +1053,60 @@ mod tests {
         }
     }
 
-    /// `RowPanel` and `ColPanel` boxes on and off the AVX2 tile's
-    /// contract. Case 0 draws `X` and a random, not closed, `D` in `[0,
-    /// INF]`; case 1 adds entries in `(INF, 2·INF]`, still on the tile.
-    /// Off it, case 2 puts a negative entry on `D`'s diagonal, case 3
-    /// draws negatives down to `i64::MIN` and case 4 values above
-    /// `2·INF`. Sides up to 8 run the scalar edges and partial blocks;
-    /// 12, 20 and 72 end on a partial 4-row or 8-column block. Every
-    /// backend must match the generic kernel bit for bit, and AVX2 must
-    /// count exactly its off-contract calls.
-    #[test]
-    fn fw_i64_aliased_panels_exact_on_and_off_contract() {
+    /// The `i64` draws of [`fw_i64_aliased_panels_exact_on_and_off_contract`]
+    /// on a `2s` grid with the box at `(xr, xc)`. Case 0 draws `X` and a
+    /// random, not closed, `D` in `[0, INF]`; case 1 adds entries in
+    /// `(INF, 2·INF]`, still on the tile. Off it, case 2 puts a negative
+    /// entry on `D`'s diagonal, case 3 draws negatives down to `i64::MIN`
+    /// and case 4 values above `2·INF`. One forced entry per case in `X`
+    /// (the first two and the last) or `D` makes every off-contract panel
+    /// call one.
+    fn fw_i64_draw(s: usize, xr: usize, xc: usize, case: usize) -> Matrix<i64> {
         use gep_core::algebra::TROPICAL_INF as INF;
-        let rare: [&[i64]; 5] = [
+        let rare: [&[i64]; FW_I64_CASES] = [
             &[INF],
             &[INF + 1, INF + 7, 2 * INF],
             &[INF],
             &[-1, -7, -INF, i64::MIN],
             &[2 * INF + 1, i64::MAX],
         ];
+        let rare = rare[case];
+        let mut seed = 0xA1 ^ ((s as u64) << 8) ^ ((case as u64) << 16) ^ xr as u64;
+        let mut init = Matrix::from_fn(2 * s, 2 * s, |_, _| {
+            let r = lcg(&mut seed) as usize;
+            if r.is_multiple_of(8) {
+                rare[(r / 8) % rare.len()]
+            } else {
+                (r / 8 % 1000) as i64
+            }
+        });
+        match case {
+            1 => init[(xr, xc)] = 2 * INF,
+            2 => init[(s / 2, s / 2)] = -3,
+            3 => init[(xr + s - 1, xc)] = i64::MIN,
+            4 => init[(0, s - 1)] = i64::MAX,
+            _ => {}
+        }
+        init
+    }
+
+    /// Cases of [`fw_i64_draw`]; those from 2 on are off the tile's
+    /// contract.
+    const FW_I64_CASES: usize = 5;
+
+    /// `RowPanel` and `ColPanel` boxes on and off the register tiles'
+    /// contract, drawn by [`fw_i64_draw`]. Sides up to 8 run the AVX2
+    /// scalar edges and partial blocks; 12, 20 and 72 end on a partial
+    /// 4- or 8-row or 8-column block. Every backend must match the
+    /// generic kernel bit for bit, and the tiled backends must count
+    /// exactly their off-contract calls.
+    #[test]
+    fn fw_i64_aliased_panels_exact_on_and_off_contract() {
         for set in specialized_sets() {
             for &s in &[1usize, 3, 4, 5, 7, 8, 12, 20, 32, 40, 64, 72] {
                 for (xr, xc, shape) in [(0, s, BoxShape::RowPanel), (s, 0, BoxShape::ColPanel)] {
-                    for (case, rare) in rare.iter().enumerate() {
-                        let mut seed = 0xA1 ^ ((s as u64) << 8) ^ ((case as u64) << 16) ^ xr as u64;
-                        let mut init = Matrix::from_fn(2 * s, 2 * s, |_, _| {
-                            let r = lcg(&mut seed) as usize;
-                            if r % 8 == 0 {
-                                rare[(r / 8) % rare.len()]
-                            } else {
-                                (r / 8 % 1000) as i64
-                            }
-                        });
-                        // One forced entry per case in X (the first two
-                        // and the last) or D, so every off-contract call
-                        // is one.
-                        match case {
-                            1 => init[(xr, xc)] = 2 * INF,
-                            2 => init[(s / 2, s / 2)] = -3,
-                            3 => init[(xr + s - 1, xc)] = i64::MIN,
-                            4 => init[(0, s - 1)] = i64::MAX,
-                            _ => {}
-                        }
+                    for case in 0..FW_I64_CASES {
+                        let init = fw_i64_draw(s, xr, xc, case);
                         let mut want = init.clone();
                         let mut got = init.clone();
                         let ((), rec) =
@@ -1066,11 +1118,115 @@ mod tests {
                         assert_eq!(got, want, "fw i64 aliased {ctx}");
                         assert_eq!(
                             rec.counter(FW_I64_SATURATING_COUNTER),
-                            u64::from(case >= 2 && set.backend == Backend::Avx2),
+                            u64::from(case >= 2 && set.backend.fuses()),
                             "saturating count {ctx}"
                         );
                     }
                 }
+            }
+        }
+    }
+
+    /// Runs `kernel` of `a` and of `b` on copies of `init`; asserts the
+    /// results and the saturating counts equal, and returns `a`'s result.
+    fn same_on_both<T: Copy + PartialEq + std::fmt::Debug>(
+        init: &Matrix<T>,
+        kernel: fn(&KernelSet) -> ShapedKernel<T>,
+        (a, b): (&KernelSet, &KernelSet),
+        (xr, xc, kk, s, shape): (usize, usize, usize, usize, BoxShape),
+        ctx: &str,
+    ) -> Matrix<T> {
+        let run = |set: &KernelSet| {
+            let mut m = init.clone();
+            let ((), rec) = gep_obs::record(gep_obs::Recorder::counters_only(), || unsafe {
+                kernel(set)(GepMat::new(&mut m), xr, xc, kk, s, shape)
+            });
+            (m, rec.counter(FW_I64_SATURATING_COUNTER))
+        };
+        let (got_a, got_b) = (run(a), run(b));
+        assert!(
+            got_a == got_b,
+            "{ctx}: {} and {} differ",
+            a.backend.name(),
+            b.backend.name()
+        );
+        got_a.0
+    }
+
+    /// The AVX-512 set equals the AVX2 set bit for bit: every `KernelSet`
+    /// entry, every `BoxShape`, sides 1 to 72 (the fitted leaves 24, 40,
+    /// 48 and 56 among them, and every side off a multiple of 8, which
+    /// the zmm tiles run on masked lanes). f64 draws are random, i64
+    /// draws are the five of [`fw_i64_draw`], and the i64 min-plus
+    /// results must also equal the generic kernel's. GF(2) runs to side 8
+    /// only: its 64×64-bit block products make longer sides slow, and
+    /// both sets share its one sweep.
+    #[test]
+    fn avx512_matches_avx2_bitwise() {
+        if !Backend::Avx512.is_supported() {
+            println!("skipping avx512_matches_avx2_bitwise: this host has no AVX-512");
+            return;
+        }
+        let sets = (
+            kernel_set(Backend::Avx512).unwrap(),
+            kernel_set(Backend::Avx2).unwrap(),
+        );
+        assert_eq!(sets.0.backend, Backend::Avx512);
+        for s in 1..=72usize {
+            for (xr, xc, kk, shape) in shapes(s) {
+                let bx = (xr, xc, kk, s, shape);
+                let ctx = format!("s={s} {shape:?}");
+                let seed = (s as u64) << 4 ^ shape as u64;
+                let f = f64_matrix(2 * s, 0xF64 ^ seed);
+                same_on_both(&f, |k| k.f64_ge, sets, bx, &format!("ge {ctx}"));
+                same_on_both(&f, |k| k.f64_lu, sets, bx, &format!("lu {ctx}"));
+                same_on_both(&f, |k| k.f64_fw, sets, bx, &format!("fw f64 {ctx}"));
+                for case in 0..FW_I64_CASES {
+                    let init = fw_i64_draw(s, xr, xc, case);
+                    let ctx = format!("fw i64 {ctx} case={case}");
+                    let got = same_on_both(&init, |k| k.i64_fw, sets, bx, &ctx);
+                    let mut want = init.clone();
+                    unsafe { generic_kernel(&FwRefI64, GepMat::new(&mut want), xr, xc, kk, s) };
+                    assert_eq!(got, want, "{ctx} against the generic kernel");
+                }
+                let init = maxmin_matrix(2 * s, 0xD00D ^ seed);
+                same_on_both(&init, |k| k.i64_maxmin, sets, bx, &format!("maxmin {ctx}"));
+                let init = bool_matrix(2 * s, 0x5EED ^ seed);
+                same_on_both(&init, |k| k.bool_tc, sets, bx, &format!("tc {ctx}"));
+                if s <= 8 {
+                    let init = if shape == BoxShape::Diagonal {
+                        gf2_matrix_lu(2 * s, 0x6F2 ^ seed)
+                    } else {
+                        gf2_matrix_diag_invertible(2 * s, 0x6F2 ^ seed)
+                    };
+                    same_on_both(&init, |k| k.gf2_elim, sets, bx, &format!("gf2 {ctx}"));
+                }
+            }
+            // The raw panels, on C blocks that are not square.
+            let (mi, nj, kd) = (s, (5 * s) % 37 + 1, (3 * s) % 29 + 1);
+            let ld = 80;
+            let (a, b) = (f64_matrix(ld, 11 ^ s as u64), f64_matrix(ld, 13 ^ s as u64));
+            let c0 = f64_matrix(ld, 7 ^ s as u64);
+            for sub in [false, true] {
+                let [got, want] = [sets.0, sets.1].map(|set| {
+                    let mut c = c0.clone();
+                    let panel = if sub { set.f64_mm_sub } else { set.f64_mm_acc };
+                    unsafe {
+                        panel(
+                            c.as_mut_slice().as_mut_ptr(),
+                            ld,
+                            a.as_slice().as_ptr(),
+                            ld,
+                            b.as_slice().as_ptr(),
+                            ld,
+                            mi,
+                            nj,
+                            kd,
+                        )
+                    };
+                    c
+                });
+                assert_eq!(got, want, "mm sub={sub} {mi}x{nj}x{kd}");
             }
         }
     }
@@ -1193,6 +1349,10 @@ mod tests {
     #[test]
     fn override_controls_dispatch() {
         let _g = OVERRIDE_LOCK.lock().unwrap();
+        for b in Backend::ALL {
+            set_backend_override(Some(b));
+            assert_eq!(selected_backend(), b);
+        }
         set_backend_override(Some(Backend::Generic));
         assert_eq!(selected_backend(), Backend::Generic);
         assert!(dispatch().is_none());

@@ -96,7 +96,7 @@ fn transitive_closure_all_engines() {
 /// where the backend rounds every multiply and subtract on its own (each
 /// engine then applies G's operations to each cell in G's order), within
 /// 1e-9 where its kernels fuse multiply-subtract
-/// ([`gep::verify::fuses`]).
+/// ([`gep::kernels::Backend::fuses`]).
 fn check_all_engines_f64<S>(spec: &S, input: &Matrix<f64>, label: &str)
 where
     S: GepSpec<Elem = f64> + Sync,

@@ -4,7 +4,7 @@
 //! (and FW over `f64`: add + min round identically on every path), and
 //! for the f64 eliminations on every backend that does not fuse
 //! multiply-subtract (to 1e-9 on one that does, see
-//! [`gep::verify::fuses`]) — including n = 0, n = 1,
+//! [`gep::kernels::Backend::fuses`]) — including n = 0, n = 1,
 //! odd sides (driven as a single non-power-of-two base case) and base
 //! sizes that do not divide n.
 //!
@@ -345,11 +345,12 @@ fn no_fallback_on_power_of_two_full_sigma_runs() {
     assert!(dispatched > 0, "dispatch counter must record the backend");
 }
 
-/// Non-negative-weight min-plus solves never leave the AVX2 register tile
-/// on `RowPanel`, `ColPanel` or `Disjoint` leaves: an `apsp` run shaped like the fw-1024 benchmark (leaves of 64) and a
+/// Non-negative-weight min-plus solves never leave the AVX2 or AVX-512
+/// register tile on `RowPanel`, `ColPanel` or `Disjoint` leaves: an
+/// `apsp` run shaped like the fw-1024 benchmark (leaves of 64) and a
 /// gep-serve-shaped solve (fitted side, `TROPICAL_INF` padding, leaves of
 /// 32) bump `kernels.fw_i64.saturating` zero times. One negative weight
-/// does bump it, on the AVX2 backend only.
+/// does bump it, on those two backends only ([`Backend::fuses`]).
 #[test]
 fn fw_tile_covers_non_negative_apsp() {
     use gep::apps::floyd_warshall::apsp;
@@ -385,7 +386,7 @@ fn fw_tile_covers_non_negative_apsp() {
         apsp(&mut fw, 64);
     });
     let saturating = rec.counter(FW_I64_SATURATING_COUNTER);
-    if selected_backend() == Backend::Avx2 {
+    if selected_backend().fuses() {
         assert!(
             saturating > 0,
             "a negative entry must take the saturating panel"
@@ -393,7 +394,7 @@ fn fw_tile_covers_non_negative_apsp() {
     } else {
         assert_eq!(
             saturating, 0,
-            "only the AVX2 backend counts saturating calls"
+            "only the AVX2 and AVX-512 backends count saturating calls"
         );
     }
 }
