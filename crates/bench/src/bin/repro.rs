@@ -512,11 +512,10 @@ fn main() {
     };
 
     if what == "tune" {
-        // Not part of `all`: the sweep writes tuning.json, which changes
-        // how every later timing subcommand runs — keep that an explicit
-        // choice.
-        let outcome = tune::tune(quick);
-        emit(&tune::tune_doc(&outcome, quick));
+        // Not part of `all`: a kernel report, not a paper artefact, and
+        // the longest sweep (every backend × every base × five apps).
+        let points = tune::tune(quick);
+        emit(&tune::tune_doc(&points, quick));
         return;
     }
 

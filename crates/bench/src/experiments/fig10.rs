@@ -29,10 +29,9 @@ pub struct Fig10Row {
 
 /// Runs the sweep and prints the table.
 pub fn fig10(sizes: &[usize], reps: usize) -> Vec<Fig10Row> {
-    // Base size from tuning.json when a `repro tune` sweep produced one,
-    // else the built-in default (64). The kernel backend itself resolves
-    // inside gep-kernels (profile / GEP_KERNELS / CPU detection).
-    let base = gep_kernels::tuned_base_size("ge");
+    // The kernel backend resolves inside gep-kernels (override /
+    // GEP_KERNELS / CPU detection).
+    let base = gep_kernels::DEFAULT_BASE_SIZE;
     let mut out = vec![];
     let mut rows = vec![];
     for &n in sizes {

@@ -33,8 +33,7 @@ pub struct Fig11Row {
 
 /// Timing sweep.
 pub fn fig11_time(sizes: &[usize], reps: usize) -> Vec<Fig11Row> {
-    // Tuned base size (tuning.json via `repro tune`, default 64).
-    let base = gep_kernels::tuned_base_size("mm");
+    let base = gep_kernels::DEFAULT_BASE_SIZE;
     let mut out = vec![];
     let mut rows = vec![];
     for &n in sizes {

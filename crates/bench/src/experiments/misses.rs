@@ -242,10 +242,9 @@ pub fn misses_sized(
             hw,
         });
 
-        let base = gep_kernels::tuned_base_size("ge");
         let (secs, hw) = measure(&format!("ge.igep_{backend}"), reps, &mut || {
             let mut c = input.clone();
-            igep_opt(&GaussianSpec, &mut c, base);
+            igep_opt(&GaussianSpec, &mut c, gep_kernels::DEFAULT_BASE_SIZE);
             std::hint::black_box(&c);
         });
         rows.push(MissRow {
@@ -307,10 +306,9 @@ pub fn misses_sized(
             hw,
         });
 
-        let base = gep_kernels::tuned_base_size("fw");
         let (secs, hw) = measure(&format!("fw.igep_{backend}"), reps, &mut || {
             let mut c = input.clone();
-            igep_opt(&spec, &mut c, base);
+            igep_opt(&spec, &mut c, gep_kernels::DEFAULT_BASE_SIZE);
             std::hint::black_box(&c);
         });
         rows.push(MissRow {

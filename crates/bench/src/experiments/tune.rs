@@ -1,10 +1,10 @@
 //! `repro tune`: the `gep-kernels` autotuner.
 //!
 //! Sweeps base size × kernel backend for each of the five kernel-backed
-//! applications (GE, LU, FW, TC, MM), picks the fastest configuration,
-//! and persists it as a versioned `tuning.json` profile
-//! (`gep_kernels::TuningProfile`) that the engines load on their next
-//! run. The grid — including the scalar `Generic` baseline — is reported
+//! applications (GE, LU, FW, TC, MM) and marks, per application, the
+//! fastest base size on the fastest backend. It is a measurement only:
+//! nothing it finds changes how later runs pick their backend or base
+//! size. The grid — including the scalar `Generic` baseline — is reported
 //! as a table and, with `--json`, as `BENCH_kernels.json`.
 
 use crate::util::{gflops, print_table, timed_best};
@@ -14,18 +14,17 @@ use gep_apps::matmul::matmul;
 use gep_apps::{GaussianSpec, LuSpec, SemiringSpec};
 use gep_core::algebra::{OrAndBool, PlusTimesF64};
 use gep_core::igep_opt;
-use gep_kernels::{available_backends, set_backend_override, Backend, TuningProfile};
+use gep_kernels::{available_backends, set_backend_override, Backend};
 use gep_matrix::Matrix;
 use gep_obs::{BenchDoc, Json};
-use std::path::PathBuf;
 
-/// Profile keys of the applications the tuner sweeps.
+/// Keys of the applications the tuner sweeps.
 pub const TUNED_APPS: [&str; 5] = ["ge", "lu", "fw", "tc", "mm"];
 
 /// One measured grid point.
 #[derive(Clone, Copy, Debug)]
 pub struct TunePoint {
-    /// Application profile key (`ge`, `lu`, `fw`, `tc`, `mm`).
+    /// Application key (`ge`, `lu`, `fw`, `tc`, `mm`).
     pub app: &'static str,
     /// Kernel backend forced for the measurement.
     pub backend: Backend,
@@ -36,27 +35,9 @@ pub struct TunePoint {
     /// Updates per second, scaled by the app's per-update op count
     /// (GFLOP/s for the f64 apps, Gop/s for FW/TC).
     pub gflops: f64,
-    /// Whether this point won its application.
+    /// Whether this point is its application's fastest base size on the
+    /// fastest backend.
     pub chosen: bool,
-}
-
-/// The full sweep result.
-#[derive(Clone, Debug)]
-pub struct TuneOutcome {
-    /// Every measured grid point.
-    pub points: Vec<TunePoint>,
-    /// The winning profile (global backend + per-app base sizes).
-    pub profile: TuningProfile,
-}
-
-/// Where the tuner persists its profile: `$GEP_TUNING` if set, else
-/// `./tuning.json` (the same resolution order the loader uses).
-pub fn profile_out_path() -> PathBuf {
-    std::env::var("GEP_TUNING")
-        .ok()
-        .filter(|s| !s.is_empty())
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("tuning.json"))
 }
 
 /// Times one application at `(backend already forced, base)`; returns
@@ -115,9 +96,8 @@ fn measure(app: &str, n: usize, base: usize, reps: usize) -> (f64, f64) {
     }
 }
 
-/// Runs the sweep, prints the table, writes the profile, and returns the
-/// grid.
-pub fn tune(quick: bool) -> TuneOutcome {
+/// Runs the sweep, prints the table, and returns the grid.
+pub fn tune(quick: bool) -> Vec<TunePoint> {
     let n = if quick { 256 } else { 512 };
     let reps = if quick { 1 } else { 3 };
     let bases: &[usize] = if quick {
@@ -129,7 +109,7 @@ pub fn tune(quick: bool) -> TuneOutcome {
 }
 
 /// The sweep at an explicit grid (testable at tiny sizes).
-pub fn tune_with(n: usize, reps: usize, bases: &[usize]) -> TuneOutcome {
+pub fn tune_with(n: usize, reps: usize, bases: &[usize]) -> Vec<TunePoint> {
     let backends = available_backends();
 
     let mut points: Vec<TunePoint> = vec![];
@@ -151,9 +131,8 @@ pub fn tune_with(n: usize, reps: usize, bases: &[usize]) -> TuneOutcome {
     }
     set_backend_override(None);
 
-    // Global backend: the one minimizing the sum over apps of its best
-    // per-app time (the profile pins a single backend, matching the
-    // one-dispatch-per-process model).
+    // Fastest backend: the one minimizing the sum over apps of its best
+    // per-app time (one backend serves a whole process).
     let total = |b: Backend| -> f64 {
         TUNED_APPS
             .iter()
@@ -172,10 +151,7 @@ pub fn tune_with(n: usize, reps: usize, bases: &[usize]) -> TuneOutcome {
         .min_by(|&a, &b| total(a).total_cmp(&total(b)))
         .unwrap_or(Backend::Portable);
 
-    let mut profile = TuningProfile {
-        backend: Some(best_backend),
-        apps: vec![],
-    };
+    let mut bases_chosen = vec![];
     for app in TUNED_APPS {
         let winner = points
             .iter()
@@ -185,7 +161,7 @@ pub fn tune_with(n: usize, reps: usize, bases: &[usize]) -> TuneOutcome {
             .map(|(i, _)| i)
             .expect("grid covers every app");
         points[winner].chosen = true;
-        profile.set_base_size(app, points[winner].base_size);
+        bases_chosen.push(format!("{app}={}", points[winner].base_size));
     }
 
     let mut rows = vec![];
@@ -204,30 +180,23 @@ pub fn tune_with(n: usize, reps: usize, bases: &[usize]) -> TuneOutcome {
         &["app", "backend", "base", "time", "G(fl)op/s", "chosen"],
         &rows,
     );
-    let path = profile_out_path();
-    match profile.save(&path) {
-        Ok(()) => println!(
-            "wrote {} (backend {}, bases {})",
-            path.display(),
-            best_backend.name(),
-            TUNED_APPS
-                .map(|a| format!("{a}={}", profile.base_size(a)))
-                .join(" ")
-        ),
-        Err(e) => eprintln!("error: could not write {}: {e}", path.display()),
-    }
-    TuneOutcome { points, profile }
+    println!(
+        "fastest: backend {}, bases {}",
+        best_backend.name(),
+        bases_chosen.join(" ")
+    );
+    points
 }
 
 /// The sweep as a `BENCH_kernels.json` document.
-pub fn tune_doc(outcome: &TuneOutcome, quick: bool) -> BenchDoc {
+pub fn tune_doc(points: &[TunePoint], quick: bool) -> BenchDoc {
     let mut d = BenchDoc::new(
         "kernels",
         "gep-kernels autotuner: backend x base-size sweep per application",
         quick,
     )
     .host(&crate::util::host_info());
-    for p in &outcome.points {
+    for p in points {
         d.row(vec![
             ("app", Json::Str(p.app.into())),
             ("backend", Json::Str(p.backend.name().into())),
@@ -246,32 +215,20 @@ mod tests {
 
     #[test]
     fn tune_covers_grid_and_picks_one_winner_per_app() {
-        // Tiny guard sweep in a scratch dir so the test never clobbers a
-        // real ./tuning.json.
-        let dir = std::env::temp_dir().join(format!("gep_tune_test_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        std::env::set_var("GEP_TUNING", dir.join("tuning.json"));
-        let out = tune_with(32, 1, &[8, 16]);
-        std::env::remove_var("GEP_TUNING");
+        let points = tune_with(32, 1, &[8, 16]);
         let backends = available_backends().len();
-        assert_eq!(out.points.len(), TUNED_APPS.len() * backends * 2);
+        assert_eq!(points.len(), TUNED_APPS.len() * backends * 2);
         for app in TUNED_APPS {
             assert_eq!(
-                out.points
-                    .iter()
-                    .filter(|p| p.app == app && p.chosen)
-                    .count(),
+                points.iter().filter(|p| p.app == app && p.chosen).count(),
                 1,
                 "exactly one winner for {app}"
             );
-            assert!(out.profile.base_size(app) >= 1);
         }
-        assert!(out.profile.backend.is_some());
-        // The persisted profile round-trips through the loader.
-        let loaded = TuningProfile::load(&dir.join("tuning.json")).unwrap();
-        assert_eq!(loaded, out.profile);
-        let doc = tune_doc(&out, true);
+        // Every winner sits on one backend.
+        let chosen: Vec<&TunePoint> = points.iter().filter(|p| p.chosen).collect();
+        assert!(chosen.iter().all(|p| p.backend == chosen[0].backend));
+        let doc = tune_doc(&points, true);
         assert_eq!(doc.filename(), "BENCH_kernels.json");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -22,7 +22,7 @@
 //! | `space` | §2.2.2 — reduced-space C-GEP live-snapshot peaks |
 //! | `resume` | checkpoint/recovery determinism (see `docs/EXTMEM.md`) |
 //! | `lemma31` | Lemma 3.1(b) — distributed-cache deterministic schedule |
-//! | `tune` | `gep-kernels` autotuner — backend × base-size sweep, writes `tuning.json` |
+//! | `tune` | `gep-kernels` autotuner — backend × base-size sweep report |
 
 pub mod compare;
 pub mod crashcheck;

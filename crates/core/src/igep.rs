@@ -33,12 +33,11 @@ use std::time::Instant;
 /// The best `base_size` is host-dependent and interacts with kernel
 /// selection: larger bases give the specialized SIMD base-case kernels of
 /// `gep-kernels` longer inner loops to amortise their setup, while the
-/// scalar generic kernel usually peaks earlier. Run `repro tune` to sweep
-/// `base_size × backend` per application and persist the winners to a
-/// `tuning.json` profile (see `docs/KERNELS.md`); engines fall back to a
-/// built-in default of 64 when no profile is present. Note this store-based
-/// engine always uses the generic iterative kernel — the specialized
-/// kernels apply to the raw in-core [`crate::abcd`] engine.
+/// scalar generic kernel usually peaks earlier. `repro tune` measures
+/// `base_size × backend` per application (see `docs/KERNELS.md`); the
+/// experiments pass `gep_kernels::DEFAULT_BASE_SIZE` (64). Note this
+/// store-based engine always uses the generic iterative kernel — the
+/// specialized kernels apply to the raw in-core [`crate::abcd`] engine.
 ///
 /// # Panics
 /// Panics unless `c` is square with a side that halves exactly down to

@@ -17,8 +17,8 @@ use crate::igep::igep;
 use crate::iterative::gep_iterative;
 use crate::spec::GepSpec;
 use crate::theory::{delta_state, g_state_u, g_state_v, g_state_w, pi_state};
+use crate::verify::TraceSpec;
 use gep_matrix::Matrix;
-use std::cell::RefCell;
 use std::collections::HashMap;
 
 /// One applied update with the operand values it read and the value it
@@ -43,70 +43,19 @@ pub struct UpdateRecord<T> {
     pub out: T,
 }
 
-/// A spec wrapper that records every applied update in order.
-struct Recorder<'s, S: GepSpec> {
-    inner: &'s S,
-    log: RefCell<Vec<UpdateRecord<S::Elem>>>,
-}
-
-impl<S: GepSpec> GepSpec for Recorder<'_, S> {
-    type Elem = S::Elem;
-    fn update(
-        &self,
-        i: usize,
-        j: usize,
-        k: usize,
-        x: Self::Elem,
-        u: Self::Elem,
-        v: Self::Elem,
-        w: Self::Elem,
-    ) -> Self::Elem {
-        let out = self.inner.update(i, j, k, x, u, v, w);
-        self.log.borrow_mut().push(UpdateRecord {
-            i,
-            j,
-            k,
-            x,
-            u,
-            v,
-            w,
-            out,
-        });
-        out
-    }
-    fn in_sigma(&self, i: usize, j: usize, k: usize) -> bool {
-        self.inner.in_sigma(i, j, k)
-    }
-    fn sigma_intersects(&self, ib: (usize, usize), jb: (usize, usize), kb: (usize, usize)) -> bool {
-        self.inner.sigma_intersects(ib, jb, kb)
-    }
-    fn sigma_count(&self, ib: (usize, usize), jb: (usize, usize), kb: (usize, usize)) -> u64 {
-        self.inner.sigma_count(ib, jb, kb)
-    }
-    fn tau(&self, n: usize, i: usize, j: usize, l: i64) -> Option<usize> {
-        self.inner.tau(n, i, j, l)
-    }
-}
-
 /// Runs iterative GEP on `c`, returning the time-ordered update records.
 pub fn trace_g<S: GepSpec>(spec: &S, c: &mut Matrix<S::Elem>) -> Vec<UpdateRecord<S::Elem>> {
-    let rec = Recorder {
-        inner: spec,
-        log: RefCell::new(Vec::new()),
-    };
+    let rec = TraceSpec::new(spec);
     gep_iterative(&rec, c);
-    rec.log.into_inner()
+    rec.into_log()
 }
 
 /// Runs I-GEP (base case 1, the literal Figure 2) on `c`, returning the
 /// time-ordered update records.
 pub fn trace_igep<S: GepSpec>(spec: &S, c: &mut Matrix<S::Elem>) -> Vec<UpdateRecord<S::Elem>> {
-    let rec = Recorder {
-        inner: spec,
-        log: RefCell::new(Vec::new()),
-    };
+    let rec = TraceSpec::new(spec);
     igep(&rec, c, 1);
-    rec.log.into_inner()
+    rec.into_log()
 }
 
 /// Verifies Theorem 2.1 for `spec` on the given input: the I-GEP trace is

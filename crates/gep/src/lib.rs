@@ -36,8 +36,7 @@
 //!   cache).
 //! * [`blaslike`] — the cache-aware blocked baseline.
 //! * [`kernels`] — vectorized base-case kernels (portable / SSE2 /
-//!   AVX2+FMA) with runtime dispatch and the tuning-profile loader (see
-//!   `docs/KERNELS.md`).
+//!   AVX2+FMA / AVX-512) with runtime dispatch (see `docs/KERNELS.md`).
 //! * [`obs`] — observability: counters, spans, bench-JSON schema.
 //! * [`hwc`] — hardware performance counters via raw `perf_event_open`,
 //!   publishing `hwc.*` into [`obs`]; degrades gracefully where denied

@@ -5,8 +5,8 @@
 //! kernels for the concrete applications in `gep-apps` — the f64 trailing
 //! matrix-multiplication update `C ← C − A·B` (shared by Gaussian
 //! elimination and LU), the min-plus Floyd–Warshall inner loop (`f64` and
-//! `i64`), and the boolean and-or transitive-closure kernel — in four
-//! backends:
+//! `i64`), and the boolean and-or transitive-closure kernel. [`Backend`]
+//! has five values; four of them carry kernels:
 //!
 //! * [`Backend::Portable`] — shared, auto-vectorizable Rust sweeps;
 //!   correct on every host.
@@ -18,7 +18,7 @@
 //!   for the i64 min-plus and f64 multiply-accumulate hot paths, selected
 //!   only when `avx512f`, `avx2` and `fma` are all detected.
 //!
-//! [`Backend::Generic`] is the fourth choice: no kernel set at all
+//! [`Backend::Generic`] is the fifth: no kernel set at all
 //! ([`dispatch`] returns `None`), telling the caller to use its own
 //! scalar kernel — the pre-existing behaviour, kept available for
 //! differential testing.
@@ -43,9 +43,7 @@
 //! 1. a programmatic override ([`set_backend_override`]), else
 //! 2. the `GEP_KERNELS` environment variable (`generic` / `portable` /
 //!    `sse2` / `avx2` / `avx512`), else
-//! 3. a backend pinned by the ambient tuning profile
-//!    (`$GEP_TUNING` or `./tuning.json`, written by `repro tune`), else
-//! 4. the best backend the host supports ([`detect_best`]).
+//! 3. the best backend the host supports ([`detect_best`]).
 //!
 //! Every [`dispatch`] call bumps the observability counter
 //! `kernels.dispatch.<backend>`; engines falling back to the generic
@@ -58,9 +56,13 @@ mod avx512;
 #[cfg(target_arch = "x86_64")]
 mod sse2;
 mod sweeps;
-pub mod tune;
 
-pub use tune::{tuned_base_size, TuningProfile, DEFAULT_BASE_SIZE};
+/// The §4.2 base-case size the engines are run at unless a caller names
+/// another. 64 keeps the whole working set of a disjoint box (three 64×64
+/// f64 panels ≈ 96 KiB) near L2 while giving the SIMD panels long enough
+/// inner loops to amortize their setup. `repro tune` measures the
+/// alternatives.
+pub const DEFAULT_BASE_SIZE: usize = 64;
 
 use gep_core::algebra::{
     Gf2, Gf2Block, Gf2x64, GfP, MaxMinI64, MinPlusF64, MinPlusI64, OrAndBool, PlusTimesF64,
@@ -93,7 +95,7 @@ impl Backend {
         Backend::Avx512,
     ];
 
-    /// Stable lowercase name (used by `GEP_KERNELS`, tuning profiles and
+    /// Stable lowercase name (used by `GEP_KERNELS`, host stamps and
     /// counter names).
     pub fn name(self) -> &'static str {
         match self {
@@ -420,10 +422,10 @@ pub fn kernel_set(backend: Backend) -> Option<&'static KernelSet> {
 const OVERRIDE_UNSET: u8 = u8::MAX;
 static OVERRIDE: AtomicU8 = AtomicU8::new(OVERRIDE_UNSET);
 
-/// Programmatically pins the backend (outranks `GEP_KERNELS` and the
-/// tuning profile), or clears the pin with `None`. Used by the tuner and
-/// the differential test suites; process-global, so concurrent tests that
-/// set it must serialize.
+/// Programmatically pins the backend (outranks `GEP_KERNELS`), or clears
+/// the pin with `None`. Used by the tuner and the differential test
+/// suites; process-global, so concurrent tests that set it must
+/// serialize.
 pub fn set_backend_override(backend: Option<Backend>) {
     OVERRIDE.store(
         backend.map_or(OVERRIDE_UNSET, |b| b as u8),
@@ -461,25 +463,10 @@ fn env_backend() -> Option<Backend> {
     }
 }
 
-/// Env var + tuning profile + detection, resolved once per process.
+/// Env var, else detection, resolved once per process.
 fn ambient_backend() -> Backend {
     static AMBIENT: OnceLock<Backend> = OnceLock::new();
-    *AMBIENT.get_or_init(|| {
-        if let Some(b) = env_backend() {
-            return b;
-        }
-        if let Some(b) = tune::profile_backend() {
-            if b.is_supported() {
-                return b;
-            }
-            eprintln!(
-                "warning: tuning profile pins backend {} which this host \
-                 does not support; auto-detecting",
-                b.name()
-            );
-        }
-        detect_best()
-    })
+    *AMBIENT.get_or_init(|| env_backend().unwrap_or_else(detect_best))
 }
 
 /// Counter bumped once per AVX2 or AVX-512 (see [`Backend::fuses`])

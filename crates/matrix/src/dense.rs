@@ -1,6 +1,5 @@
 //! Owned, row-major dense matrices.
 
-use crate::view::{MatView, MatViewMut};
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
@@ -166,17 +165,6 @@ impl<T> Matrix<T> {
     #[inline]
     pub fn row_mut(&mut self, i: usize) -> &mut [T] {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
-    /// Immutable view of the whole matrix.
-    pub fn view(&self) -> MatView<'_, T> {
-        MatView::new(&self.data, self.rows, self.cols, self.cols)
-    }
-
-    /// Mutable view of the whole matrix.
-    pub fn view_mut(&mut self) -> MatViewMut<'_, T> {
-        let (rows, cols) = (self.rows, self.cols);
-        MatViewMut::new(&mut self.data, rows, cols, cols)
     }
 
     /// Iterator over `(row, col, &value)`.

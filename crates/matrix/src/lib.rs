@@ -1,14 +1,11 @@
 //! # gep-matrix
 //!
-//! Dense matrix storage, views, and cache-friendly layouts used throughout
-//! the GEP (Gaussian Elimination Paradigm) workspace.
+//! Dense matrix storage and cache-friendly layouts used throughout the
+//! GEP (Gaussian Elimination Paradigm) workspace.
 //!
 //! The crate provides:
 //!
 //! * [`Matrix`] — an owned, row-major dense matrix.
-//! * [`MatView`] / [`MatViewMut`] — borrowed rectangular windows with an
-//!   explicit row stride, including quadrant splitting for the recursive
-//!   cache-oblivious algorithms.
 //! * [`morton`] — bit-interleaving (Z-order) index arithmetic.
 //! * [`TiledMatrix`] — the *bit-interleaved block layout* of the paper's
 //!   Section 4.2: fixed-size square tiles stored contiguously in row-major
@@ -18,28 +15,25 @@
 //! * [`layout`] — address maps `(i, j) -> linear address` for the cache
 //!   simulator, covering row-major, column-major and Morton-tiled layouts.
 //!
-//! The paper states its recursions for `n = 2^q`. The in-core I-GEP
-//! engines accept any side that halves exactly down to a leaf `<= base`
-//! ([`halves_to_leaf`]); [`fit_side`] picks the smallest such side for an
-//! arbitrary size, and [`Matrix::padded`] embeds a matrix into it. The
-//! other routines (C-GEP, tiled layouts, out-of-core) stay on
-//! [`next_pow2`] sides.
+//! The paper states its recursions for `n = 2^q`. The in-core I-GEP and
+//! C-GEP engines accept any side that halves exactly down to a leaf
+//! `<= base` ([`halves_to_leaf`]); [`fit_side`] picks the smallest such
+//! side for an arbitrary size, and [`Matrix::padded`] embeds a matrix
+//! into it. [`TiledMatrix`] stays on power-of-two sides ([`next_pow2`]).
 
 pub mod dense;
 pub mod layout;
 pub mod morton;
 pub mod tiled;
-pub mod view;
 
 pub use dense::Matrix;
 pub use layout::{ColMajor, Layout, MortonTiled, RowMajor};
 pub use tiled::TiledMatrix;
-pub use view::{MatView, MatViewMut};
 
 /// Smallest power of two `>= n` (and `>= 1`).
 ///
-/// The recursive GEP algorithms assume `n = 2^q`; arbitrary problem sizes are
-/// embedded into the next power of two (see [`Matrix::padded`]).
+/// The paper's recursions assume `n = 2^q`; [`fit_side`] is capped at
+/// this side.
 ///
 /// # Panics
 /// Panics if the result would overflow `usize`.
