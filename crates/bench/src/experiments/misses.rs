@@ -13,12 +13,11 @@
 //!
 //! — and reports three miss numbers per row: **measured** LLC misses from
 //! hardware counters (`gep-hwc`; absent on denied hosts, never zero),
-//! **simulated** LLC misses from a host-shaped
-//! [`TrackedMatrix`](gep_cachesim::TrackedMatrix) hierarchy (engines the
-//! simulator can drive), and the **analytic** bound evaluated with the
-//! host's detected `B` and `M`. The fitted constants (median
-//! measured/bound — [`gep_cachesim::fit_constant`]) quantify how tightly
-//! the asymptotic curves describe this machine.
+//! **simulated** LLC misses from a host-shaped [`TrackedMatrix`]
+//! hierarchy (engines the simulator can drive), and the **analytic**
+//! bound evaluated with the host's detected `B` and `M`. The fitted
+//! constants (median measured/bound — [`gep_cachesim::fit_constant`])
+//! quantify how tightly the asymptotic curves describe this machine.
 
 use crate::util::{fmt_secs, print_table, timed_best};
 use crate::workloads::{dd_matrix, random_dist_matrix};

@@ -6,8 +6,8 @@
 //! 1. factor the current column panel unblocked (compute multipliers);
 //! 2. triangular-solve the row panel (`U₁₂ ← L₁₁⁻¹ A₁₂`);
 //! 3. rank-`panel` update of the trailing submatrix
-//!    (`A₂₂ −= L₂₁ · U₁₂`) via the blocked [`dgemm`] — the BLAS-3 bulk of
-//!    the work.
+//!    (`A₂₂ −= L₂₁ · U₁₂`) via the blocked [`dgemm`](crate::dgemm) —
+//!    the BLAS-3 bulk of the work.
 
 use crate::gemm::{dgemm_rect_with, GemmParams};
 use gep_matrix::Matrix;

@@ -4,9 +4,8 @@
 //! A [`TrackedMatrix`] owns its element data but routes every
 //! `read`/`write` through a [`SharedCache`] (so the input matrix and
 //! C-GEP's four snapshot matrices can share one cache, exactly like a real
-//! machine), mapping `(i, j)` to a byte address through any
-//! [`Layout`](gep_matrix::Layout) — row-major by default, or the paper's
-//! §4.2 Morton-tiled layout.
+//! machine), mapping `(i, j)` to a byte address through any [`Layout`] —
+//! row-major by default, or the paper's §4.2 Morton-tiled layout.
 
 use crate::CacheModel;
 use gep_core::CellStore;

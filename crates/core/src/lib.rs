@@ -66,7 +66,6 @@ pub mod gepmat;
 pub mod igep;
 pub mod iterative;
 pub mod joiner;
-pub mod legality;
 pub mod resume;
 pub mod spec;
 pub mod store;
@@ -86,7 +85,6 @@ pub use gepmat::GepMat;
 pub use igep::{igep, igep_box};
 pub use iterative::gep_iterative;
 pub use joiner::{Joiner, Serial};
-pub use legality::{check_igep_legality, Legality};
 pub use resume::{igep_resumable, igep_step_count, ResumeOutcome, StepControl};
 pub use spec::{BoxShape, ClosureSpec, ExplicitSet, GepSpec, SumSpec};
 pub use store::CellStore;

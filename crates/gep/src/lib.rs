@@ -35,8 +35,8 @@
 //! * [`extmem`] — the out-of-core substrate (simulated disk + page
 //!   cache).
 //! * [`blaslike`] — the cache-aware blocked baseline.
-//! * [`kernels`] — vectorized base-case kernels (portable / SSE2 /
-//!   AVX2+FMA / AVX-512) with runtime dispatch (see `docs/KERNELS.md`).
+//! * [`kernels`] — vectorized base-case kernels (portable / AVX2+FMA /
+//!   AVX-512) with runtime dispatch (see `docs/KERNELS.md`).
 //! * [`obs`] — observability: counters, spans, bench-JSON schema.
 //! * [`hwc`] — hardware performance counters via raw `perf_event_open`,
 //!   publishing `hwc.*` into [`obs`]; degrades gracefully where denied

@@ -6,19 +6,17 @@
 //! matrix-multiplication update `C ← C − A·B` (shared by Gaussian
 //! elimination and LU), the min-plus Floyd–Warshall inner loop (`f64` and
 //! `i64`), and the boolean and-or transitive-closure kernel. [`Backend`]
-//! has five values; four of them carry kernels:
+//! has four values; three of them carry kernels:
 //!
 //! * [`Backend::Portable`] — shared, auto-vectorizable Rust sweeps;
 //!   correct on every host.
-//! * [`Backend::Sse2`] — explicit 128-bit `std::arch` kernels (x86-64
-//!   baseline, no runtime feature check needed).
 //! * [`Backend::Avx2`] — explicit 256-bit AVX2 + FMA kernels, selected
 //!   only when `is_x86_feature_detected!` confirms host support.
 //! * [`Backend::Avx512`] — the AVX2 kernels with 512-bit register tiles
 //!   for the i64 min-plus and f64 multiply-accumulate hot paths, selected
 //!   only when `avx512f`, `avx2` and `fma` are all detected.
 //!
-//! [`Backend::Generic`] is the fifth: no kernel set at all
+//! [`Backend::Generic`] is the fourth: no kernel set at all
 //! ([`dispatch`] returns `None`), telling the caller to use its own
 //! scalar kernel — the pre-existing behaviour, kept available for
 //! differential testing.
@@ -42,7 +40,7 @@
 //!
 //! 1. a programmatic override ([`set_backend_override`]), else
 //! 2. the `GEP_KERNELS` environment variable (`generic` / `portable` /
-//!    `sse2` / `avx2` / `avx512`), else
+//!    `avx2` / `avx512`), else
 //! 3. the best backend the host supports ([`detect_best`]).
 //!
 //! Every [`dispatch`] call bumps the observability counter
@@ -53,8 +51,6 @@
 mod avx2;
 #[cfg(target_arch = "x86_64")]
 mod avx512;
-#[cfg(target_arch = "x86_64")]
-mod sse2;
 mod sweeps;
 
 /// The §4.2 base-case size the engines are run at unless a caller names
@@ -79,18 +75,16 @@ use std::sync::OnceLock;
 pub enum Backend {
     Generic = 0,
     Portable = 1,
-    Sse2 = 2,
-    Avx2 = 3,
-    Avx512 = 4,
+    Avx2 = 2,
+    Avx512 = 3,
 }
 
 impl Backend {
-    /// All backends, in increasing order of specialization (and of
-    /// discriminant).
-    pub const ALL: [Backend; 5] = [
+    /// All backends, in increasing order of specialization; each one's
+    /// discriminant is its index here.
+    pub const ALL: [Backend; 4] = [
         Backend::Generic,
         Backend::Portable,
-        Backend::Sse2,
         Backend::Avx2,
         Backend::Avx512,
     ];
@@ -101,7 +95,6 @@ impl Backend {
         match self {
             Backend::Generic => "generic",
             Backend::Portable => "portable",
-            Backend::Sse2 => "sse2",
             Backend::Avx2 => "avx2",
             Backend::Avx512 => "avx512",
         }
@@ -112,7 +105,6 @@ impl Backend {
         match name.to_ascii_lowercase().as_str() {
             "generic" => Some(Backend::Generic),
             "portable" => Some(Backend::Portable),
-            "sse2" => Some(Backend::Sse2),
             "avx2" => Some(Backend::Avx2),
             "avx512" => Some(Backend::Avx512),
             _ => None,
@@ -123,8 +115,6 @@ impl Backend {
     pub fn is_supported(self) -> bool {
         match self {
             Backend::Generic | Backend::Portable => true,
-            #[cfg(target_arch = "x86_64")]
-            Backend::Sse2 => true, // part of the x86-64 baseline
             #[cfg(target_arch = "x86_64")]
             Backend::Avx2 => {
                 std::arch::is_x86_feature_detected!("avx2")
@@ -146,7 +136,6 @@ impl Backend {
         match self {
             Backend::Generic => "kernels.dispatch.generic",
             Backend::Portable => "kernels.dispatch.portable",
-            Backend::Sse2 => "kernels.dispatch.sse2",
             Backend::Avx2 => "kernels.dispatch.avx2",
             Backend::Avx512 => "kernels.dispatch.avx512",
         }
@@ -172,19 +161,13 @@ pub fn available_backends() -> Vec<Backend> {
         .collect()
 }
 
-/// The fastest specialized backend the host supports.
+/// The fastest specialized backend the host supports: `Avx512`, else
+/// `Avx2`, else `Portable` (always `Portable` off x86-64).
 pub fn detect_best() -> Backend {
-    #[cfg(target_arch = "x86_64")]
-    {
-        [Backend::Avx512, Backend::Avx2]
-            .into_iter()
-            .find(|b| b.is_supported())
-            .unwrap_or(Backend::Sse2)
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        Backend::Portable
-    }
+    [Backend::Avx512, Backend::Avx2]
+        .into_iter()
+        .find(|b| b.is_supported())
+        .unwrap_or(Backend::Portable)
 }
 
 /// A shaped base-case kernel over the whole-matrix handle: arguments are
@@ -347,20 +330,6 @@ static PORTABLE_SET: KernelSet = KernelSet {
 };
 
 #[cfg(target_arch = "x86_64")]
-static SSE2_SET: KernelSet = KernelSet {
-    backend: Backend::Sse2,
-    f64_ge: sse2::ge,
-    f64_lu: sse2::lu,
-    f64_fw: sse2::fw_f64,
-    i64_fw: sse2::fw_i64,
-    i64_maxmin: portable::maxmin,
-    bool_tc: sse2::tc,
-    gf2_elim: portable::gf2_elim,
-    f64_mm_acc: sse2::mm_acc,
-    f64_mm_sub: sse2::mm_sub,
-};
-
-#[cfg(target_arch = "x86_64")]
 static AVX2_SET: KernelSet = KernelSet {
     backend: Backend::Avx2,
     f64_ge: avx2::ge::<avx2::Avx2>,
@@ -395,26 +364,10 @@ static AVX512_SET: KernelSet = KernelSet {
 pub fn kernel_set(backend: Backend) -> Option<&'static KernelSet> {
     match backend {
         Backend::Generic => None,
-        Backend::Portable => Some(&PORTABLE_SET),
         #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => Some(&SSE2_SET),
+        Backend::Avx512 if Backend::Avx512.is_supported() => Some(&AVX512_SET),
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => {
-            if Backend::Avx2.is_supported() {
-                Some(&AVX2_SET)
-            } else {
-                Some(&SSE2_SET)
-            }
-        }
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx512 => {
-            if Backend::Avx512.is_supported() {
-                Some(&AVX512_SET)
-            } else {
-                kernel_set(Backend::Avx2)
-            }
-        }
-        #[cfg(not(target_arch = "x86_64"))]
+        Backend::Avx2 | Backend::Avx512 if Backend::Avx2.is_supported() => Some(&AVX2_SET),
         _ => Some(&PORTABLE_SET),
     }
 }
@@ -456,7 +409,7 @@ fn env_backend() -> Option<Backend> {
         None => {
             eprintln!(
                 "warning: GEP_KERNELS={v:?} not recognized \
-                 (generic/portable/sse2/avx2/avx512); auto-detecting"
+                 (generic/portable/avx2/avx512); auto-detecting"
             );
             None
         }
@@ -1312,7 +1265,8 @@ mod tests {
 
     #[test]
     fn backend_names_roundtrip() {
-        for b in Backend::ALL {
+        for (i, b) in Backend::ALL.into_iter().enumerate() {
+            assert_eq!(b as usize, i, "the override indexes ALL by discriminant");
             assert_eq!(Backend::from_name(b.name()), Some(b));
             assert_eq!(Backend::from_name(&b.name().to_uppercase()), Some(b));
         }
@@ -1329,6 +1283,12 @@ mod tests {
             match b {
                 Backend::Generic => assert!(kernel_set(b).is_none()),
                 _ => assert_eq!(kernel_set(b).unwrap().backend, b),
+            }
+        }
+        // An unsupported backend falls back to a set the host can run.
+        for b in Backend::ALL {
+            if let Some(set) = kernel_set(b) {
+                assert!(set.backend.is_supported(), "{b:?} -> {:?}", set.backend);
             }
         }
     }

@@ -28,8 +28,8 @@
 //! * [`chrome`] — exports recorded spans as Chrome trace-event JSON,
 //!   loadable in Perfetto / `chrome://tracing`, plus a well-nestedness
 //!   checker used by the golden tests.
-//! * [`summary`] — a human-readable summary table of a recording.
-//! * [`bench`] — the `BENCH_<experiment>.json` schema written by
+//! * [`summary`](mod@summary) — a human-readable summary table of a recording.
+//! * [`bench`](mod@bench) — the `BENCH_<experiment>.json` schema written by
 //!   `repro -- all --json`: one machine-readable file per reproduced
 //!   figure/table, with a validator so CI can reject malformed output.
 //!
